@@ -40,6 +40,7 @@ struct ScaleStats {
   std::size_t busy = 0;
   std::size_t candidates = 0;
   double cold_ms = 0.0;    ///< first full build + solve
+  std::size_t cold_pivots = 0;  ///< MODI pivots of the cold solve
   double steady_ms = 0.0;  ///< per churned cycle, incremental pipeline
   double hit_rate = 0.0;
   std::size_t dirty_resolves = 0;
@@ -91,7 +92,7 @@ ScaleStats run_fat_tree(std::uint32_t k, std::size_t cycles,
   util::Timer cold_timer;
   cache.begin_cycle(nmdb.network());
   core::PlacementProblem problem;
-  (void)engine.run(nmdb, &problem);
+  stats.cold_pivots = engine.run(nmdb, &problem).solver_iterations;
   stats.cold_ms = cold_timer.millis();
   stats.busy = problem.busy.size();
   stats.candidates = problem.candidates.size();
@@ -146,7 +147,7 @@ ScaleStats run_random_100k(std::size_t node_count, std::size_t busy_count,
 
   util::Timer cold_timer;
   core::PlacementProblem problem;
-  (void)engine.run(nmdb, &problem);
+  stats.cold_pivots = engine.run(nmdb, &problem).solver_iterations;
   stats.cold_ms = cold_timer.millis();
   stats.busy = problem.busy.size();
   stats.candidates = problem.candidates.size();
@@ -168,6 +169,8 @@ void write_json(const std::vector<ScaleStats>& rows, std::size_t cycles) {
         ",edges=" + std::to_string(row.edges) +
         ",cycles=" + std::to_string(cycles);
     json.add("cold_ms_per_cycle", row.cold_ms, "ms", config);
+    json.add("cold_pivots", static_cast<double>(row.cold_pivots), "count",
+             config);
     if (row.steady_ms > 0.0) {
       json.add("steady_ms_per_cycle", row.steady_ms, "ms", config);
       json.add("cache_hit_rate", row.hit_rate, "ratio", config);
@@ -201,12 +204,13 @@ int main() {
 
   util::Table table("solver & path-engine scaling");
   table.set_precision(3).header({"scale", "nodes", "edges", "busy", "cand",
-                                 "cold ms", "steady ms/cycle", "hit rate",
-                                 "dirty resolves"});
+                                 "cold ms", "cold pivots", "steady ms/cycle",
+                                 "hit rate", "dirty resolves"});
   for (const ScaleStats& row : rows)
     table.row({row.label, static_cast<double>(row.nodes),
                static_cast<double>(row.edges), static_cast<double>(row.busy),
-               static_cast<double>(row.candidates), row.cold_ms, row.steady_ms,
+               static_cast<double>(row.candidates), row.cold_ms,
+               static_cast<double>(row.cold_pivots), row.steady_ms,
                row.hit_rate, static_cast<double>(row.dirty_resolves)});
   bench::emit(table);
   write_json(rows, cycles);

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace dust::solver {
@@ -24,42 +25,60 @@ struct Balanced {
   std::vector<double> cost;
   double big_m = 0.0;
   bool has_dummy = false;
-
-  [[nodiscard]] double& at(std::vector<double>& grid, std::size_t i,
-                           std::size_t j) const {
-    return grid[i * n + j];
-  }
 };
 
 /// MODI / u-v transportation simplex over a balanced instance.
+///
+/// The basis is a spanning tree on the bipartite row/column node set (rows
+/// [0, m), columns [m, m+n)) with exactly m + n - 1 cells. Each pivot works on
+/// that tree through per-row and per-column incidence lists of basic cells,
+/// so potentials and the entering cell's cycle cost O(m + n); only pricing
+/// scans the dense m*n grid.
 class TransportSimplex {
  public:
   /// `warm_cells`, when non-null, flags cells to allocate first in the
   /// initial solution (see solve_transportation's warm_flow doc).
   explicit TransportSimplex(const Balanced& bal,
                             const std::vector<char>* warm_cells = nullptr)
-      : bal_(bal),
-        warm_cells_(warm_cells),
-        flow_(bal.m * bal.n, 0.0),
-        basic_(bal.m * bal.n, 0) {}
+      : bal_(bal), warm_cells_(warm_cells) {
+    // Size every O(m + n) buffer once, up front: no pivot allocates, and no
+    // small buffer allocated mid-solve lands on the heap above the m*n
+    // grids, where it would keep their memory from being returned to the OS
+    // once they are freed (about 1.4 MB of peak RSS at k=32).
+    const std::size_t nodes = bal.m + bal.n;
+    u_.resize(bal.m);
+    v_.resize(bal.n);
+    parent_.resize(nodes);
+    head_.resize(nodes);
+    next_.resize(2 * (nodes - 1));
+    prev_.resize(2 * (nodes - 1));
+    depth_.resize(nodes);
+    tree_edge_.resize(nodes);
+    for (auto* list : {&slot_cell_, &stack_, &up_, &down_, &minus_, &plus_})
+      list->reserve(nodes);
+  }
 
   /// Adopt a previous solve's flows and basis membership instead of building
   /// an initial solution (dirty-basis path). The caller guarantees the seed
   /// was optimal for the same balanced supplies/demands; solve() then skips
   /// least_cost_start and goes straight to potentials + pivots.
-  void seed_basis(const std::vector<double>& flow,
-                  const std::vector<char>& basic) {
-    flow_ = flow;
-    basic_ = basic;
+  void seed_basis(std::vector<double>&& flow, std::vector<char>&& basic) {
+    flow_ = std::move(flow);
+    basic_ = std::move(basic);
     seeded_ = true;
   }
 
   Status solve(std::size_t max_iterations) {
-    if (!seeded_) least_cost_start();
+    if (!seeded_) {
+      flow_.assign(bal_.m * bal_.n, 0.0);
+      basic_.assign(bal_.m * bal_.n, 0);
+      least_cost_start();
+    }
     // Always repair: a retained basis can have lost tree-ness to degenerate
     // pivots, and repair is a cheap union-find sweep that is a no-op on a
     // healthy spanning tree.
     repair_basis_tree();
+    build_tree_index();
     // Dantzig's rule can cycle forever on degenerate instances (exact
     // supply/capacity ties, zero-capacity columns): every pivot has theta=0
     // and the same bases repeat. After a streak of m+n degenerate pivots,
@@ -87,10 +106,18 @@ class TransportSimplex {
   }
 
   [[nodiscard]] const std::vector<double>& flow() const noexcept { return flow_; }
-  [[nodiscard]] const std::vector<char>& basic() const noexcept { return basic_; }
   [[nodiscard]] std::size_t iterations() const noexcept { return iterations_; }
+  [[nodiscard]] bool bland() const noexcept { return bland_; }
+
+  /// Move the final flows and basis membership out; the simplex is spent.
+  void release_basis(std::vector<double>& flow, std::vector<char>& basic) {
+    flow = std::move(flow_);
+    basic = std::move(basic_);
+  }
 
  private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
   // Least-cost method: repeatedly allocate to the cheapest open cell. With a
   // warm hint, previously-used cells are allocated first (cheapest first
   // among them) so the start reproduces the prior basis structure wherever
@@ -125,7 +152,6 @@ class TransportSimplex {
   // cells until the bipartite graph is connected and acyclic.
   void repair_basis_tree() {
     // Union-find over m + n nodes (rows then cols).
-    parent_.resize(bal_.m + bal_.n);
     std::iota(parent_.begin(), parent_.end(), 0);
     std::size_t basic_count = 0;
     for (std::size_t i = 0; i < bal_.m; ++i) {
@@ -168,30 +194,73 @@ class TransportSimplex {
     return true;
   }
 
-  // Potentials u_i + v_j = c_ij on basic cells; tree traversal from row 0.
+  // Index the repaired basis as incidence lists. A basis always holds
+  // m + n - 1 cells, one per slot: slot s is half-edge 2s on its row's list
+  // and half-edge 2s + 1 on its column's list (doubly linked, nodes are rows
+  // then columns). A pivot hands the leaving cell's slot to the entering
+  // cell, so the lists never grow after this.
+  void build_tree_index() {
+    const std::size_t nodes = bal_.m + bal_.n;
+    slot_cell_.clear();
+    head_.assign(nodes, kNone);
+    for (std::size_t cell = 0; cell < basic_.size(); ++cell) {
+      if (!basic_[cell]) continue;
+      slot_cell_.push_back(cell);
+      link(2 * slot_cell_.size() - 2);
+      link(2 * slot_cell_.size() - 1);
+    }
+  }
+
+  // The node a half-edge hangs off: its cell's row for even half-edges, its
+  // cell's column for odd ones.
+  [[nodiscard]] std::size_t end_node(std::size_t half) const {
+    const std::size_t cell = slot_cell_[half / 2];
+    return half % 2 == 0 ? cell / bal_.n : bal_.m + cell % bal_.n;
+  }
+  void link(std::size_t half) {
+    const std::size_t node = end_node(half);
+    prev_[half] = kNone;
+    next_[half] = head_[node];
+    if (head_[node] != kNone) prev_[head_[node]] = half;
+    head_[node] = half;
+  }
+  void unlink(std::size_t half) {
+    if (prev_[half] != kNone)
+      next_[prev_[half]] = next_[half];
+    else
+      head_[end_node(half)] = next_[half];
+    if (next_[half] != kNone) prev_[next_[half]] = prev_[half];
+  }
+
+  // The node across the tree edge that connects `node` to its parent.
+  [[nodiscard]] std::size_t tree_parent(std::size_t node) const {
+    return end_node(2 * tree_edge_[node] + (node < bal_.m ? 1 : 0));
+  }
+
+  // Potentials u_i + v_j = c_ij on basic cells: one traversal of the basis
+  // tree from row 0. Each potential follows from its unique tree parent, so
+  // the values do not depend on the traversal order. The traversal also
+  // records each node's depth and parent edge for pivot()'s cycle walk.
   void compute_potentials() {
     u_.assign(bal_.m, 0.0);
     v_.assign(bal_.n, 0.0);
-    std::vector<char> u_set(bal_.m, 0), v_set(bal_.n, 0);
-    u_set[0] = 1;
-    // Relaxation sweeps; the basis is a tree so m+n-1 sweeps suffice, and in
-    // practice it converges in a handful.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t i = 0; i < bal_.m; ++i) {
-        for (std::size_t j = 0; j < bal_.n; ++j) {
-          if (!basic_[i * bal_.n + j]) continue;
-          if (u_set[i] && !v_set[j]) {
-            v_[j] = bal_.cost[i * bal_.n + j] - u_[i];
-            v_set[j] = 1;
-            progress = true;
-          } else if (!u_set[i] && v_set[j]) {
-            u_[i] = bal_.cost[i * bal_.n + j] - v_[j];
-            u_set[i] = 1;
-            progress = true;
-          }
-        }
+    std::fill(depth_.begin(), depth_.end(), kNone);
+    depth_[0] = 0;
+    stack_.assign(1, 0);
+    while (!stack_.empty()) {
+      const std::size_t node = stack_.back();
+      stack_.pop_back();
+      for (std::size_t half = head_[node]; half != kNone; half = next_[half]) {
+        const std::size_t next = end_node(half ^ 1);
+        if (depth_[next] != kNone) continue;
+        const double cost = bal_.cost[slot_cell_[half / 2]];
+        if (node < bal_.m)
+          v_[next - bal_.m] = cost - u_[node];
+        else
+          u_[next] = cost - v_[node - bal_.m];
+        depth_[next] = depth_[node] + 1;
+        tree_edge_[next] = half / 2;
+        stack_.push_back(next);
       }
     }
   }
@@ -243,82 +312,62 @@ class TransportSimplex {
   // Find the unique alternating cycle created by adding (enter_i, enter_j)
   // to the basis tree, shift flow around it, and swap basis membership.
   // Returns theta, the amount of flow shifted (0 on a degenerate pivot).
+  // Relies on depth_/tree_edge_ from the compute_potentials() call that
+  // priced this entering cell.
   double pivot(std::size_t enter_i, std::size_t enter_j) {
-    // DFS in the bipartite basis graph from row enter_i to col enter_j.
-    // Nodes: rows [0, m), cols [m, m+n).
-    const std::size_t start = enter_i;
-    const std::size_t goal = bal_.m + enter_j;
-    std::vector<std::size_t> stack{start};
-    std::vector<std::size_t> prev(bal_.m + bal_.n, static_cast<std::size_t>(-1));
-    std::vector<char> seen(bal_.m + bal_.n, 0);
-    seen[start] = 1;
-    while (!stack.empty()) {
-      const std::size_t node = stack.back();
-      stack.pop_back();
-      if (node == goal) break;
-      if (node < bal_.m) {
-        const std::size_t i = node;
-        for (std::size_t j = 0; j < bal_.n; ++j) {
-          if (!basic_[i * bal_.n + j]) continue;
-          const std::size_t next = bal_.m + j;
-          if (!seen[next]) {
-            seen[next] = 1;
-            prev[next] = node;
-            stack.push_back(next);
-          }
-        }
+    // Tree path from row enter_i (start) to column enter_j (goal): climb
+    // from the deeper end until the two walks meet. up_ gets the start
+    // side's slots in path order, down_ the goal side's in reverse order.
+    std::size_t a = enter_i;
+    std::size_t b = bal_.m + enter_j;
+    up_.clear();
+    down_.clear();
+    while (a != b) {
+      if (depth_[a] >= depth_[b]) {
+        up_.push_back(tree_edge_[a]);
+        a = tree_parent(a);
       } else {
-        const std::size_t j = node - bal_.m;
-        for (std::size_t i = 0; i < bal_.m; ++i) {
-          if (!basic_[i * bal_.n + j]) continue;
-          if (!seen[i]) {
-            seen[i] = 1;
-            prev[i] = node;
-            stack.push_back(i);
-          }
-        }
+        down_.push_back(tree_edge_[b]);
+        b = tree_parent(b);
       }
     }
-    // Reconstruct node path goal -> start, then build the cell cycle.
-    std::vector<std::size_t> node_path;
-    for (std::size_t node = goal; node != static_cast<std::size_t>(-1);
-         node = prev[node])
-      node_path.push_back(node);
-    std::reverse(node_path.begin(), node_path.end());  // start ... goal
-    // Cycle cells alternate starting with the entering cell (+):
-    // (enter_i, enter_j) then edges along node_path back from goal..start?
-    // node_path is start(row) -> ... -> goal(col); consecutive nodes share a
-    // basic cell. Walking it gives cells with alternating signs beginning
-    // with '-', since the entering '+' cell closes the loop goal->start.
-    std::vector<std::pair<std::size_t, std::size_t>> minus_cells, plus_cells;
-    plus_cells.emplace_back(enter_i, enter_j);
-    bool minus = true;
-    for (std::size_t s = 0; s + 1 < node_path.size(); ++s) {
-      const std::size_t a = node_path[s];
-      const std::size_t b = node_path[s + 1];
-      const std::size_t i = a < bal_.m ? a : b;
-      const std::size_t j = (a < bal_.m ? b : a) - bal_.m;
-      (minus ? minus_cells : plus_cells).emplace_back(i, j);
-      minus = !minus;
-    }
-    // Theta = min flow on minus cells. Under Bland's rule ties break toward
-    // the lowest cell index (required for the anti-cycling guarantee).
+    // Walking start -> goal, the path's cells alternate '-', '+', ...
+    // beginning with '-', since the entering '+' cell closes the loop
+    // goal -> start. A row-to-column path has odd length, so down_[q] takes
+    // the sign of its index q as well.
+    minus_.clear();
+    plus_.clear();
+    for (std::size_t p = 0; p < up_.size(); ++p)
+      (p % 2 == 0 ? minus_ : plus_).push_back(up_[p]);
+    for (std::size_t q = down_.size(); q-- > 0;)
+      (q % 2 == 0 ? minus_ : plus_).push_back(down_[q]);
+    // Theta = min flow on minus cells, first in path order on ties. Under
+    // Bland's rule ties break toward the lowest cell index (required for the
+    // anti-cycling guarantee).
     double theta = kInfinity;
-    std::pair<std::size_t, std::size_t> leaving{0, 0};
-    for (const auto& [i, j] : minus_cells) {
-      const double f = flow_[i * bal_.n + j];
-      const bool tie_wins = bland_ && f == theta &&
-                            i * bal_.n + j < leaving.first * bal_.n + leaving.second;
+    std::size_t leaving = 0;  // slot
+    for (const std::size_t slot : minus_) {
+      const std::size_t cell = slot_cell_[slot];
+      const double f = flow_[cell];
+      const bool tie_wins = bland_ && f == theta && cell < slot_cell_[leaving];
       if (f < theta || tie_wins) {
         theta = f;
-        leaving = {i, j};
+        leaving = slot;
       }
     }
-    for (const auto& [i, j] : plus_cells) flow_[i * bal_.n + j] += theta;
-    for (const auto& [i, j] : minus_cells) flow_[i * bal_.n + j] -= theta;
-    basic_[enter_i * bal_.n + enter_j] = 1;
-    basic_[leaving.first * bal_.n + leaving.second] = 0;
-    flow_[leaving.first * bal_.n + leaving.second] = 0.0;  // kill -0 noise
+    const std::size_t enter = enter_i * bal_.n + enter_j;
+    flow_[enter] += theta;
+    for (const std::size_t slot : plus_) flow_[slot_cell_[slot]] += theta;
+    for (const std::size_t slot : minus_) flow_[slot_cell_[slot]] -= theta;
+    const std::size_t leaving_cell = slot_cell_[leaving];
+    basic_[enter] = 1;
+    basic_[leaving_cell] = 0;
+    flow_[leaving_cell] = 0.0;  // kill -0 noise
+    unlink(2 * leaving);
+    unlink(2 * leaving + 1);
+    slot_cell_[leaving] = enter;
+    link(2 * leaving);
+    link(2 * leaving + 1);
     return theta;
   }
 
@@ -329,7 +378,13 @@ class TransportSimplex {
   std::vector<double> flow_;
   std::vector<char> basic_;
   std::vector<double> u_, v_;
-  std::vector<std::size_t> parent_;
+  std::vector<std::size_t> parent_;  // union-find, repair_basis_tree only
+  // Basis tree incidence lists (see build_tree_index).
+  std::vector<std::size_t> slot_cell_, head_, next_, prev_;
+  // Rooted at row 0 by compute_potentials(); nodes are rows then columns.
+  std::vector<std::size_t> depth_, tree_edge_;
+  // Per-pivot scratch, reused across pivots.
+  std::vector<std::size_t> stack_, up_, down_, minus_, plus_;
   std::size_t iterations_ = 0;
 };
 
@@ -405,12 +460,13 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   }
   TransportSimplex simplex(bal, warm_cells.empty() ? nullptr : &warm_cells);
   if (dirty) {
-    simplex.seed_basis(basis->flow, basis->basic);
+    simplex.seed_basis(std::move(basis->flow), std::move(basis->basic));
     result.dirty_resolve = true;
   }
   const std::size_t max_iterations = 100 * (bal.m + bal.n) * (bal.m + bal.n) + 1000;
   const Status status = simplex.solve(max_iterations);
   result.iterations = simplex.iterations();
+  result.bland_fallback = simplex.bland();
   if (status != Status::kOptimal) {
     if (basis != nullptr) basis->valid = false;
     result.status = status;
@@ -438,8 +494,7 @@ TransportationResult solve_impl(const TransportationProblem& problem,
     basis->n = bal.n;
     basis->supply = std::move(bal.supply);
     basis->demand = std::move(bal.demand);
-    basis->flow = simplex.flow();
-    basis->basic = simplex.basic();
+    simplex.release_basis(basis->flow, basis->basic);
   }
   return result;
 }

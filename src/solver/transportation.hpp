@@ -40,6 +40,9 @@ struct TransportationResult {
   /// True when the solve re-optimized from a retained basis (dirty-basis
   /// path) instead of building an initial solution from scratch.
   bool dirty_resolve = false;
+  /// True when a streak of degenerate pivots switched pricing from Dantzig's
+  /// rule to Bland's for the rest of the solve.
+  bool bland_fallback = false;
 
   [[nodiscard]] bool optimal() const noexcept { return status == Status::kOptimal; }
   [[nodiscard]] double flow_at(std::size_t i, std::size_t j,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "solver/simplex.hpp"
 #include "util/rng.hpp"
@@ -212,6 +217,229 @@ TEST_P(TransportationRandomSweep, TightInstances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransportationRandomSweep,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// Every optimal dirty solve must leave a retained basis that is a spanning
+// tree of the balanced instance: exactly m + n - 1 cells, no cycle, every
+// row and column reached.
+void expect_spanning_tree(const TransportationBasis& basis) {
+  ASSERT_TRUE(basis.valid);
+  ASSERT_EQ(basis.basic.size(), basis.m * basis.n);
+  std::vector<std::size_t> root(basis.m + basis.n);
+  std::iota(root.begin(), root.end(), 0);
+  const auto find = [&root](std::size_t x) {
+    while (root[x] != x) x = root[x] = root[root[x]];
+    return x;
+  };
+  std::size_t cells = 0, merges = 0;
+  for (std::size_t i = 0; i < basis.m; ++i) {
+    for (std::size_t j = 0; j < basis.n; ++j) {
+      if (!basis.basic[i * basis.n + j]) continue;
+      ++cells;
+      const std::size_t a = find(i), b = find(basis.m + j);
+      if (a != b) {
+        root[a] = b;
+        ++merges;
+      }
+    }
+  }
+  EXPECT_EQ(cells, basis.m + basis.n - 1);
+  EXPECT_EQ(merges, basis.m + basis.n - 1);  // acyclic and connected
+}
+
+// ---- Pinned pivot paths ---------------------------------------------------
+//
+// Seeded instances whose pivot count, objective bit pattern and flow digest
+// are pinned. The pins were recorded from the original dense-grid MODI
+// (relaxation-sweep potentials, full row/column cycle scans), so they prove
+// the tree-indexed basis reproduces its pivot sequence bit for bit, not
+// merely an optimum of equal cost.
+
+enum class Family {
+  kRandom,     // random shapes, slack capacity
+  kTies,       // integer costs, exact balance, zero rows and columns
+  kForbidden,  // ~30% forbidden (big-M) cells; seed 8 is infeasible
+  kDummy,      // capacity far above supply: a wide dummy row
+  kDirty,      // cost-only perturbation re-solved from the retained basis
+};
+
+struct Pin {
+  Family family;
+  std::uint64_t seed;
+  Status status;
+  bool bland_fallback;
+  std::size_t iterations;
+  std::uint64_t objective_bits;
+  std::uint64_t flow_digest;
+};
+
+std::uint64_t flow_digest(const std::vector<double>& flow) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  for (double f : flow) {
+    h ^= std::bit_cast<std::uint64_t>(f);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TransportationProblem pinned_instance(Family family, util::Rng& rng) {
+  TransportationProblem p;
+  std::size_t m = 1 + rng.below(30);
+  std::size_t n = 1 + rng.below(50);
+  if (family == Family::kTies) {
+    m = 4 + rng.below(12);
+    n = 4 + rng.below(12);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      p.supply.push_back(static_cast<double>(rng.below(3)));  // zero rows too
+      total += static_cast<std::size_t>(p.supply.back());
+    }
+    if (total == 0) {
+      p.supply[0] = 1.0;
+      total = 1;
+    }
+    // Deal the supply out unit by unit over the columns that are not held
+    // at zero capacity, so capacity matches supply exactly.
+    p.capacity.assign(n, 0.0);
+    const std::size_t open = 1 + n / 2 + rng.below(n / 2);
+    for (std::size_t unit = 0; unit < total; ++unit)
+      p.capacity[rng.below(open)] += 1.0;
+    for (std::size_t c = 0; c < m * n; ++c)
+      p.cost.push_back(static_cast<double>(1 + rng.below(3)));
+    return p;
+  }
+  for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(0.0, 10.0));
+  const double total = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  for (std::size_t j = 0; j < n; ++j)
+    p.capacity.push_back(family == Family::kDummy
+                             ? rng.uniform(total / n + 5.0, total / n + 40.0)
+                             : total / n + rng.uniform(0.0, 5.0));
+  for (std::size_t c = 0; c < m * n; ++c) {
+    const bool forbidden = family == Family::kForbidden && rng.below(10) < 3;
+    p.cost.push_back(forbidden ? kInfinity : rng.uniform(0.1, 9.0));
+  }
+  return p;
+}
+
+// Solves one pinned case and reports what it pins.
+Pin observe(Family family, std::uint64_t seed) {
+  util::Rng rng(seed);
+  TransportationProblem p = pinned_instance(family, rng);
+  TransportationResult r;
+  if (family == Family::kDirty) {
+    TransportationBasis basis;
+    const TransportationResult first = solve_transportation_dirty(p, basis);
+    EXPECT_TRUE(first.optimal());
+    if (first.optimal()) expect_spanning_tree(basis);
+    for (double& c : p.cost)
+      if (rng.below(3) == 0) c = rng.uniform(0.1, 9.0);
+    r = solve_transportation_dirty(p, basis);
+    EXPECT_TRUE(r.dirty_resolve);
+    if (r.optimal()) expect_spanning_tree(basis);
+  } else {
+    r = solve_transportation(p);
+  }
+  return {family,
+          seed,
+          r.status,
+          r.bland_fallback,
+          r.iterations,
+          std::bit_cast<std::uint64_t>(r.objective),
+          flow_digest(r.flow)};
+}
+
+// clang-format off
+constexpr Pin kPins[] = {
+  {Family::kRandom, 1, Status::kOptimal, false, 18, 0x403806a4e1099449ULL, 0x2c1986b945b3130dULL},
+  {Family::kRandom, 2, Status::kOptimal, false, 16, 0x4030f7db44826cb2ULL, 0x10e58dd16214b710ULL},
+  {Family::kRandom, 3, Status::kOptimal, false, 18, 0x404d6d09a8409a8eULL, 0xd074940d3491082eULL},
+  {Family::kRandom, 4, Status::kOptimal, false, 36, 0x40306e02fd2fac5cULL, 0xbef5a5f33601c7faULL},
+  {Family::kRandom, 5, Status::kOptimal, false, 14, 0x403c25286524d74eULL, 0xfd1d55134a804cc3ULL},
+  {Family::kRandom, 6, Status::kOptimal, false, 1, 0x403cd03eb2665998ULL, 0xe9c2d53fa31d6636ULL},
+  {Family::kRandom, 7, Status::kOptimal, false, 42, 0x4050a73aed140d1eULL, 0xa3e6d12f1c54e52bULL},
+  {Family::kRandom, 8, Status::kOptimal, false, 0, 0x4080de6f20766891ULL, 0xd3e1e20425fd9676ULL},
+  {Family::kRandom, 9, Status::kOptimal, false, 35, 0x404c8a6169f1c2f9ULL, 0x0958cb3cbd94a0c3ULL},
+  {Family::kRandom, 10, Status::kOptimal, false, 2, 0x3ff9fad57e060e26ULL, 0x5097773aadec2866ULL},
+  {Family::kTies, 1, Status::kOptimal, false, 18, 0x402a000000000000ULL, 0x02f8eedda4cecdb5ULL},
+  {Family::kTies, 2, Status::kOptimal, false, 8, 0x402e000000000000ULL, 0x723995069ff4d6dfULL},
+  {Family::kTies, 3, Status::kOptimal, false, 11, 0x4031000000000000ULL, 0xc2f3fc343753559dULL},
+  {Family::kTies, 4, Status::kOptimal, false, 11, 0x4018000000000000ULL, 0x68bb38c6cf34ac55ULL},
+  {Family::kTies, 5, Status::kOptimal, false, 10, 0x402e000000000000ULL, 0x32afce200093c9edULL},
+  {Family::kTies, 6, Status::kOptimal, false, 21, 0x4031000000000000ULL, 0x6a58eedda4cecdb5ULL},
+  {Family::kTies, 1386, Status::kOptimal, true, 24, 0x4014000000000000ULL, 0x5820c5f14c7cf157ULL},
+  {Family::kTies, 1417, Status::kOptimal, true, 44, 0x4026000000000000ULL, 0x2408f3f57b84445fULL},
+  {Family::kTies, 1975, Status::kOptimal, true, 16, 0x4018000000000000ULL, 0x61d4ea71af95ef15ULL},
+  {Family::kTies, 2084, Status::kOptimal, true, 25, 0x4020000000000000ULL, 0x1e9519d78418065dULL},
+  {Family::kForbidden, 1, Status::kOptimal, false, 20, 0x4043a0fc5938feadULL, 0x28e112f2586ce95cULL},
+  {Family::kForbidden, 2, Status::kOptimal, false, 16, 0x403d785b088a1078ULL, 0x23d9178cdce547ebULL},
+  {Family::kForbidden, 3, Status::kOptimal, false, 11, 0x404313d1d42bff30ULL, 0x456b5682e090c847ULL},
+  {Family::kForbidden, 4, Status::kOptimal, false, 26, 0x403af28ba66a23b0ULL, 0xe5183342e22a30b5ULL},
+  {Family::kForbidden, 5, Status::kOptimal, false, 15, 0x40483369258ffd4cULL, 0xa2e15ec393d2141eULL},
+  {Family::kForbidden, 6, Status::kOptimal, false, 3, 0x404cb9775755ed42ULL, 0xcf1b14da1111ff97ULL},
+  {Family::kForbidden, 7, Status::kOptimal, false, 35, 0x4058716a00f2a1e1ULL, 0x43c9de6c2efd5cc4ULL},
+  {Family::kForbidden, 8, Status::kInfeasible, false, 0, 0x0000000000000000ULL, 0x6a6acb468563504dULL},
+  {Family::kDummy, 1, Status::kOptimal, false, 8, 0x403246a52baa2543ULL, 0xb3c5d8273c37d9f3ULL},
+  {Family::kDummy, 2, Status::kOptimal, false, 6, 0x4023a9035eb57b53ULL, 0xea5170efa4638b83ULL},
+  {Family::kDummy, 3, Status::kOptimal, false, 11, 0x404644b608b49befULL, 0x8f28112909e2f3f9ULL},
+  {Family::kDummy, 4, Status::kOptimal, false, 13, 0x4027f14c2b4462b3ULL, 0xd86c5be221396082ULL},
+  {Family::kDummy, 5, Status::kOptimal, false, 7, 0x40334df5ede8509aULL, 0x412bb7b6ff4a4fbaULL},
+  {Family::kDirty, 1, Status::kOptimal, false, 15, 0x4043b11d7dd4b7b7ULL, 0x6d7cea61675d3b18ULL},
+  {Family::kDirty, 2, Status::kOptimal, false, 8, 0x40326c70c6e2e304ULL, 0xa8ad40f6aa11e04dULL},
+  {Family::kDirty, 3, Status::kOptimal, false, 8, 0x404c027e420c4760ULL, 0xeda175b40551b3fdULL},
+  {Family::kDirty, 4, Status::kOptimal, false, 26, 0x40329f18f5844849ULL, 0xa2a2c3c962ade6f7ULL},
+  {Family::kDirty, 5, Status::kOptimal, false, 11, 0x4035a839b41e3d81ULL, 0xee0591646582c4c2ULL},
+  {Family::kDirty, 6, Status::kOptimal, false, 3, 0x4022ed3012702e6eULL, 0x136353a83363962dULL},
+  {Family::kDirty, 7, Status::kOptimal, false, 30, 0x405060fbdbc03ea5ULL, 0x22f77be5d4e50c0bULL},
+};
+// clang-format on
+
+TEST(TransportationPinned, PivotPathsMatchDenseReference) {
+  std::size_t bland_cases = 0;
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE("family " + std::to_string(static_cast<int>(pin.family)) +
+                 " seed " + std::to_string(pin.seed));
+    const Pin got = observe(pin.family, pin.seed);
+    EXPECT_EQ(got.status, pin.status);
+    EXPECT_EQ(got.bland_fallback, pin.bland_fallback);
+    EXPECT_EQ(got.iterations, pin.iterations);
+    EXPECT_EQ(got.objective_bits, pin.objective_bits);
+    EXPECT_EQ(got.flow_digest, pin.flow_digest);
+    if (got.bland_fallback) ++bland_cases;
+  }
+  // The degenerate-tie family must exercise the switch to Bland's rule.
+  EXPECT_GE(bland_cases, 1u);
+}
+
+// Repeated dirty re-solves keep the retained basis a spanning tree: cost-only
+// changes resume from it (and pivot through the tree upkeep), quantity
+// changes fall back to a fresh start.
+TEST(TransportationDirty, RepeatedResolvesKeepSpanningTreeBasis) {
+  util::Rng rng(42);
+  TransportationProblem p;
+  const std::size_t m = 25, n = 40;
+  for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(1.0, 10.0));
+  const double total = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  for (std::size_t j = 0; j < n; ++j)
+    p.capacity.push_back(total / n + rng.uniform(0.0, 2.0));
+  for (std::size_t c = 0; c < m * n; ++c) p.cost.push_back(rng.uniform(0.1, 9.0));
+  TransportationBasis basis;
+  std::size_t dirty = 0;
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const TransportationResult r = solve_transportation_dirty(p, basis);
+    ASSERT_TRUE(r.optimal());
+    expect_spanning_tree(basis);
+    const TransportationResult cold = solve_transportation(p);
+    EXPECT_NEAR(r.objective, cold.objective, 1e-6 * std::max(1.0, cold.objective));
+    if (r.dirty_resolve) ++dirty;
+    if (round % 8 == 7) {
+      p.supply[rng.below(m)] *= 0.9;  // quantity change: no dirty resume
+    } else {
+      for (double& c : p.cost)
+        if (rng.below(4) == 0) c = rng.uniform(0.1, 9.0);
+    }
+  }
+  EXPECT_GE(dirty, 30u);
+}
 
 TEST(ToLinearProgram, StructureMatches) {
   TransportationProblem p;
