@@ -6,11 +6,14 @@
 // iterations in the paper).
 #pragma once
 
+#include <array>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/nmdb.hpp"
@@ -64,16 +67,57 @@ inline void print_header(const std::string& name, const std::string& claim) {
             << " — set DUST_BENCH_SCALE=full for paper-scale iterations\n\n";
 }
 
+/// The machine and build a bench ran on. Reports record it so that
+/// scripts/bench_compare.py can refuse to diff numbers taken on different
+/// hosts or builds; git_sha is informational (a compare spans commits).
+struct HostInfo {
+  std::string cpu_model;  ///< /proc/cpuinfo "model name"
+  unsigned cores = 0;     ///< hardware threads
+  std::string dust_threads;  ///< DUST_THREADS as set, empty when unset
+  std::string build_type;    ///< CMake configuration of the bench binary
+  std::string git_sha;       ///< HEAD of the source checkout
+};
+
+inline HostInfo host_info() {
+  HostInfo host;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) host.cpu_model = line.substr(colon + 1);
+    host.cpu_model.erase(0, host.cpu_model.find_first_not_of(' '));
+    break;
+  }
+  if (host.cpu_model.empty()) host.cpu_model = "unknown";
+  host.cores = std::thread::hardware_concurrency();
+  if (const char* env = std::getenv("DUST_THREADS")) host.dust_threads = env;
+  // Both macros come from dust_add_bench in bench/CMakeLists.txt.
+  host.build_type = DUST_BUILD_TYPE;
+  const std::string command =
+      std::string("git -C '") + DUST_SOURCE_DIR + "' rev-parse HEAD 2>/dev/null";
+  if (FILE* pipe = popen(command.c_str(), "r")) {
+    std::array<char, 64> sha{};
+    if (std::fgets(sha.data(), sha.size(), pipe) != nullptr) {
+      host.git_sha = sha.data();
+      host.git_sha.erase(host.git_sha.find_last_not_of("\n") + 1);
+    }
+    pclose(pipe);
+  }
+  if (host.git_sha.empty()) host.git_sha = "none";
+  return host;
+}
+
 /// Machine-readable bench output: a BENCH_<name>.json file holding a flat
 /// list of {name, metric, value, units, config} records — one record per
 /// measured quantity, `config` identifying the variant/scenario it belongs
 /// to ("pattern=steady-jitter", "obs=on", ...). Written to the working
 /// directory unless DUST_BENCH_JSON_DIR points elsewhere. The uniform
-/// schema lets CI diff any bench against a baseline with one parser.
+/// schema lets CI diff any bench against a baseline with one parser. A
+/// top-level "host" object records host_info().
 class JsonReport {
  public:
   explicit JsonReport(std::string bench_name)
-      : bench_name_(std::move(bench_name)) {}
+      : bench_name_(std::move(bench_name)), host_(host_info()) {}
 
   void add(const std::string& metric, double value, const std::string& units,
            const std::string& config = {}) {
@@ -105,7 +149,12 @@ class JsonReport {
     std::ofstream os(file);
     if (!os) return {};
     os << "{\n  \"bench\": \"" << escape(bench_name_) << "\",\n"
-       << "  \"schema\": \"dust-bench-v1\",\n";
+       << "  \"schema\": \"dust-bench-v1\",\n"
+       << "  \"host\": {\"cpu_model\": \"" << escape(host_.cpu_model)
+       << "\", \"cores\": " << host_.cores << ", \"dust_threads\": \""
+       << escape(host_.dust_threads) << "\", \"build_type\": \""
+       << escape(host_.build_type) << "\", \"git_sha\": \""
+       << escape(host_.git_sha) << "\"},\n";
     if (has_topology_)
       os << "  \"topology\": {\"nodes\": " << topology_nodes_
          << ", \"edges\": " << topology_edges_ << "},\n";
@@ -147,6 +196,7 @@ class JsonReport {
   }
 
   std::string bench_name_;
+  HostInfo host_;
   std::vector<Record> records_;
   std::size_t topology_nodes_ = 0;
   std::size_t topology_edges_ = 0;

@@ -21,6 +21,12 @@ differently.
 Scale safety: reports carry a top-level "topology" object and per-record
 nodes=/edges= config fields. A compare across different topology sizes is
 refused outright (exit 2) — a k=16 baseline says nothing about a k=32 run.
+
+Host safety: reports carry a top-level "host" object (cpu_model, cores,
+dust_threads, build_type, git_sha). A compare across hosts or builds — any
+field but git_sha differing, or one report lacking the object — is refused
+the same way (exit 2): a baseline from another machine or a Debug build
+cannot tell a code change from a machine change.
 """
 
 import argparse
@@ -34,6 +40,18 @@ def load(path):
     if report.get("schema") != "dust-bench-v1":
         raise SystemExit(f"{path}: not a dust-bench-v1 report")
     return report
+
+
+HOST_FIELDS = ("cpu_model", "cores", "dust_threads", "build_type")
+
+
+class Refused(Exception):
+    """The two reports are not comparable; main() exits 2."""
+
+
+def host_of(report):
+    host = report.get("host")
+    return None if host is None else {f: host.get(f) for f in HOST_FIELDS}
 
 
 def record_key(record):
@@ -74,9 +92,16 @@ def compare(baseline, candidate, threshold):
     base_topo = baseline.get("topology")
     cand_topo = candidate.get("topology")
     if base_topo != cand_topo:
-        raise SystemExit(
+        raise Refused(
             f"refusing cross-scale compare: baseline topology {base_topo} "
-            f"!= candidate {cand_topo} (exit 2)"
+            f"!= candidate {cand_topo}"
+        )
+    base_host = host_of(baseline)
+    cand_host = host_of(candidate)
+    if base_host != cand_host:
+        raise Refused(
+            f"refusing cross-host compare: baseline host {base_host} "
+            f"!= candidate {cand_host}"
         )
 
     base = {record_key(r): r for r in baseline.get("records", [])}
@@ -121,11 +146,22 @@ def compare(baseline, candidate, threshold):
     return failures, lines
 
 
+def expect_refused(baseline, candidate, what):
+    try:
+        compare(baseline, candidate, 0.10)
+    except Refused:
+        return
+    raise AssertionError(f"{what} compare must be refused")
+
+
 def self_test():
     topo = {"nodes": 320, "edges": 2048}
+    host = {"cpu_model": "Xeon", "cores": 4, "dust_threads": "",
+            "build_type": "Release", "git_sha": "a" * 40}
     base = {
         "schema": "dust-bench-v1",
         "topology": topo,
+        "host": host,
         "records": [
             {"metric": "steady_ms_per_cycle", "config": "a", "value": 10.0},
             {"metric": "cache_hit_rate", "config": "a", "value": 0.5},
@@ -148,12 +184,19 @@ def self_test():
 
     cross = dict(base)
     cross["topology"] = {"nodes": 1280, "edges": 16384}
-    try:
-        compare(base, cross, 0.10)
-    except SystemExit:
-        pass
-    else:
-        raise AssertionError("cross-scale compare must be refused")
+    expect_refused(base, cross, "cross-scale")
+
+    other_sha = dict(ok)
+    other_sha["host"] = dict(host, git_sha="b" * 40)
+    failures, _ = compare(base, other_sha, 0.10)
+    assert not failures, f"a new commit on the same host must compare: {failures}"
+    for field, value in (("cpu_model", "EPYC"), ("cores", 8),
+                         ("dust_threads", "2"), ("build_type", "Debug")):
+        moved = dict(ok)
+        moved["host"] = dict(host, **{field: value})
+        expect_refused(base, moved, f"cross-host ({field})")
+    hostless = {k: v for k, v in ok.items() if k != "host"}
+    expect_refused(base, hostless, "host-less")
 
     fed_base = dict(base)
     fed_base["records"] = [
@@ -209,7 +252,11 @@ def main():
 
     baseline = load(args.baseline)
     candidate = load(args.candidate)
-    failures, lines = compare(baseline, candidate, args.threshold)
+    try:
+        failures, lines = compare(baseline, candidate, args.threshold)
+    except Refused as refusal:
+        print(f"bench_compare: {refusal}", file=sys.stderr)
+        return 2
 
     print(f"bench_compare: {args.baseline} vs {args.candidate} "
           f"(threshold {args.threshold * 100:.0f}%)")

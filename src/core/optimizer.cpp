@@ -310,7 +310,7 @@ PlacementResult OptimizationEngine::solve_transportation_backend(
 
   PlacementResult result;
   util::Timer timer;
-  const solver::TransportationProblem t = to_transportation(problem);
+  const solver::TransportationView t{problem.cs, problem.cd, problem.trmin};
   // Under warm_start the solver also consults/refreshes the retained basis:
   // if this instance differs from the previous one in cost cells only, it
   // re-optimizes from that basis (dirty-basis path) and ignores the flow

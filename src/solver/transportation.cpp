@@ -23,17 +23,19 @@ struct Balanced {
   std::vector<double> supply;
   std::vector<double> demand;
   std::vector<double> cost;
-  double big_m = 0.0;
   bool has_dummy = false;
 };
 
 /// MODI / u-v transportation simplex over a balanced instance.
 ///
 /// The basis is a spanning tree on the bipartite row/column node set (rows
-/// [0, m), columns [m, m+n)) with exactly m + n - 1 cells. Each pivot works on
-/// that tree through per-row and per-column incidence lists of basic cells,
-/// so potentials and the entering cell's cycle cost O(m + n); only pricing
-/// scans the dense m*n grid.
+/// [0, m), columns [m, m+n)) with exactly m + n - 1 cells, held as slots: a
+/// cell and its flow each. Only basic cells carry flow — the least-cost
+/// start ships only over the cells it makes basic, and a pivot empties the
+/// cell that leaves — so the slots are the whole solution. Each pivot works
+/// on the tree through per-row and per-column incidence lists of slots: the
+/// entering cell's cycle costs O(path), and only the subtree the pivot
+/// re-hangs gets new potentials. Pricing is the one dense pass per pivot.
 class TransportSimplex {
  public:
   /// `warm_cells`, when non-null, flags cells to allocate first in the
@@ -54,31 +56,34 @@ class TransportSimplex {
     prev_.resize(2 * (nodes - 1));
     depth_.resize(nodes);
     tree_edge_.resize(nodes);
-    for (auto* list : {&slot_cell_, &stack_, &up_, &down_, &minus_, &plus_})
+    slot_flow_.reserve(nodes);
+    for (auto* list :
+         {&slot_cell_, &stack_, &up_, &down_, &minus_, &plus_, &order_})
       list->reserve(nodes);
   }
 
-  /// Adopt a previous solve's flows and basis membership instead of building
-  /// an initial solution (dirty-basis path). The caller guarantees the seed
-  /// was optimal for the same balanced supplies/demands; solve() then skips
-  /// least_cost_start and goes straight to potentials + pivots.
-  void seed_basis(std::vector<double>&& flow, std::vector<char>&& basic) {
-    flow_ = std::move(flow);
+  /// Take over a retained basis. With `seeded`, it holds a previous optimal
+  /// solve's membership and slots for the same balanced supplies/demands,
+  /// and solve() resumes from it (dirty-basis path); otherwise it only
+  /// lends its storage to a fresh least-cost start.
+  void adopt(std::vector<char>&& basic, std::vector<std::size_t>&& cells,
+             std::vector<double>&& flows, bool seeded) {
     basic_ = std::move(basic);
-    seeded_ = true;
+    slot_cell_ = std::move(cells);
+    slot_flow_ = std::move(flows);
+    slot_cell_.reserve(bal_.m + bal_.n);
+    slot_flow_.reserve(bal_.m + bal_.n);
+    seeded_ = seeded;
   }
 
   Status solve(std::size_t max_iterations) {
-    if (!seeded_) {
-      flow_.assign(bal_.m * bal_.n, 0.0);
-      basic_.assign(bal_.m * bal_.n, 0);
+    if (!seeded_ || !resume_tree()) {
+      seeded_ = false;
       least_cost_start();
+      connect_basis_tree();
+      link_slots();
+      compute_potentials();
     }
-    // Always repair: a retained basis can have lost tree-ness to degenerate
-    // pivots, and repair is a cheap union-find sweep that is a no-op on a
-    // healthy spanning tree.
-    repair_basis_tree();
-    build_tree_index();
     // Dantzig's rule can cycle forever on degenerate instances (exact
     // supply/capacity ties, zero-capacity columns): every pivot has theta=0
     // and the same bases repeat. After a streak of m+n degenerate pivots,
@@ -87,7 +92,6 @@ class TransportSimplex {
     // burning the iteration budget.
     std::size_t degenerate_streak = 0;
     for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-      compute_potentials();
       const auto [enter_i, enter_j, reduced] =
           bland_ ? first_negative_cell() : most_negative_cell();
       if (reduced >= -kEps) {
@@ -105,14 +109,45 @@ class TransportSimplex {
     return Status::kIterationLimit;
   }
 
-  [[nodiscard]] const std::vector<double>& flow() const noexcept { return flow_; }
   [[nodiscard]] std::size_t iterations() const noexcept { return iterations_; }
   [[nodiscard]] bool bland() const noexcept { return bland_; }
+  /// Whether solve() resumed from the seeded basis.
+  [[nodiscard]] bool resumed() const noexcept { return seeded_; }
 
-  /// Move the final flows and basis membership out; the simplex is spent.
-  void release_basis(std::vector<double>& flow, std::vector<char>& basic) {
-    flow = std::move(flow_);
+  /// Write the real rows' flows into `result` and price them at
+  /// `problem`'s costs, walking the basic cells (the only ones with flow) in
+  /// row-major order; the dummy row, if any, comes last. An optimum that
+  /// ships over a forbidden cell is infeasible; the grid then keeps the
+  /// flows of the cells before it.
+  Status extract(const TransportationView& problem,
+                 TransportationResult& result) {
+    const std::size_t cells = problem.cost.size();
+    order_.resize(slot_cell_.size());
+    std::iota(order_.begin(), order_.end(), 0);
+    std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+      return slot_cell_[a] < slot_cell_[b];
+    });
+    result.flow.assign(cells, 0.0);
+    double objective = 0.0;
+    for (const std::size_t slot : order_) {
+      const std::size_t cell = slot_cell_[slot];
+      if (cell >= cells) break;
+      const double f = slot_flow_[slot];
+      if (f > kEps && problem.cost[cell] == kInfinity)
+        return Status::kInfeasible;  // needed a forbidden route
+      result.flow[cell] = f;
+      if (f > 0) objective += f * problem.cost[cell];
+    }
+    result.objective = objective;
+    return Status::kOptimal;
+  }
+
+  /// Move the basis membership and slots out; the simplex is spent.
+  void release_basis(std::vector<char>& basic, std::vector<std::size_t>& cells,
+                     std::vector<double>& flows) {
     basic = std::move(basic_);
+    cells = std::move(slot_cell_);
+    flows = std::move(slot_flow_);
   }
 
  private:
@@ -121,8 +156,13 @@ class TransportSimplex {
   // Least-cost method: repeatedly allocate to the cheapest open cell. With a
   // warm hint, previously-used cells are allocated first (cheapest first
   // among them) so the start reproduces the prior basis structure wherever
-  // supplies/demands still admit it.
+  // supplies/demands still admit it. Each allocation ships the smaller of
+  // its row's and column's remainders, which closes that row or column for
+  // good; so the cells it makes basic never close a cycle.
   void least_cost_start() {
+    basic_.assign(bal_.m * bal_.n, 0);
+    slot_cell_.clear();
+    slot_flow_.clear();
     std::vector<double> remaining_supply = bal_.supply;
     std::vector<double> remaining_demand = bal_.demand;
     // Cells sorted by (warm priority, cost) once; skip exhausted rows/cols
@@ -139,43 +179,30 @@ class TransportSimplex {
       const std::size_t j = cell % bal_.n;
       if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) continue;
       const double quantity = std::min(remaining_supply[i], remaining_demand[j]);
-      flow_[cell] = quantity;
       basic_[cell] = 1;
+      slot_cell_.push_back(cell);
+      slot_flow_.push_back(quantity);
       remaining_supply[i] -= quantity;
       remaining_demand[j] -= quantity;
     }
   }
 
   // The basis must be a spanning tree on the bipartite row/col node set with
-  // exactly m + n - 1 cells. The least-cost start can be degenerate (fewer
-  // cells) or accidentally contain a cycle-free subset already; add zero
-  // cells until the bipartite graph is connected and acyclic.
-  void repair_basis_tree() {
+  // exactly m + n - 1 cells. The least-cost start is a forest, with fewer
+  // cells when it is degenerate; add zero-flow cells, first in row-major
+  // order, until it is connected.
+  void connect_basis_tree() {
     // Union-find over m + n nodes (rows then cols).
     std::iota(parent_.begin(), parent_.end(), 0);
-    std::size_t basic_count = 0;
-    for (std::size_t i = 0; i < bal_.m; ++i) {
-      for (std::size_t j = 0; j < bal_.n; ++j) {
-        if (!basic_[i * bal_.n + j]) continue;
-        if (!unite(i, bal_.m + j)) {
-          // Cycle among basic cells (possible with ties): demote to nonbasic.
-          basic_[i * bal_.n + j] = 0;
-          // Note: flow stays; a cycle of equal-cost cells keeps feasibility.
-        } else {
-          ++basic_count;
-        }
-      }
-    }
-    // Connect remaining components with zero-flow basic cells, preferring
-    // cheap cells so potentials stay tame.
-    for (std::size_t i = 0; i < bal_.m && basic_count + 1 < bal_.m + bal_.n; ++i) {
-      for (std::size_t j = 0; j < bal_.n && basic_count + 1 < bal_.m + bal_.n; ++j) {
-        if (basic_[i * bal_.n + j]) continue;
-        if (unite(i, bal_.m + j)) {
-          basic_[i * bal_.n + j] = 1;
-          ++basic_count;
-        }
-      }
+    for (const std::size_t cell : slot_cell_)
+      unite(cell / bal_.n, bal_.m + cell % bal_.n);
+    const std::size_t tree_cells = bal_.m + bal_.n - 1;
+    for (std::size_t cell = 0;
+         cell < basic_.size() && slot_cell_.size() < tree_cells; ++cell) {
+      if (basic_[cell] || !unite(cell / bal_.n, bal_.m + cell % bal_.n)) continue;
+      basic_[cell] = 1;
+      slot_cell_.push_back(cell);
+      slot_flow_.push_back(0.0);
     }
   }
 
@@ -194,21 +221,29 @@ class TransportSimplex {
     return true;
   }
 
-  // Index the repaired basis as incidence lists. A basis always holds
-  // m + n - 1 cells, one per slot: slot s is half-edge 2s on its row's list
-  // and half-edge 2s + 1 on its column's list (doubly linked, nodes are rows
+  // Index the basis as incidence lists. A basis always holds m + n - 1
+  // cells, one per slot: slot s is half-edge 2s on its row's list and
+  // half-edge 2s + 1 on its column's list (doubly linked, nodes are rows
   // then columns). A pivot hands the leaving cell's slot to the entering
-  // cell, so the lists never grow after this.
-  void build_tree_index() {
-    const std::size_t nodes = bal_.m + bal_.n;
-    slot_cell_.clear();
-    head_.assign(nodes, kNone);
-    for (std::size_t cell = 0; cell < basic_.size(); ++cell) {
-      if (!basic_[cell]) continue;
-      slot_cell_.push_back(cell);
-      link(2 * slot_cell_.size() - 2);
-      link(2 * slot_cell_.size() - 1);
+  // cell, so the lists never grow after this. The order of the slots
+  // changes no result: potentials, depths and parent edges are properties
+  // of the tree, and the pivot's tie-breaks go by path order or cell index.
+  void link_slots() {
+    head_.assign(bal_.m + bal_.n, kNone);
+    for (std::size_t slot = 0; slot < slot_cell_.size(); ++slot) {
+      link(2 * slot);
+      link(2 * slot + 1);
     }
+  }
+
+  // Index a seeded basis straight from its retained slots, O(m + n). Accept
+  // it only if the potentials walk from row 0 spans every node: m + n - 1
+  // cells that reach all m + n nodes are a spanning tree. Anything else
+  // restarts from a least-cost start.
+  bool resume_tree() {
+    if (slot_cell_.size() + 1 != bal_.m + bal_.n) return false;
+    link_slots();
+    return compute_potentials();
   }
 
   // The node a half-edge hangs off: its cell's row for even half-edges, its
@@ -237,32 +272,51 @@ class TransportSimplex {
     return end_node(2 * tree_edge_[node] + (node < bal_.m ? 1 : 0));
   }
 
-  // Potentials u_i + v_j = c_ij on basic cells: one traversal of the basis
-  // tree from row 0. Each potential follows from its unique tree parent, so
-  // the values do not depend on the traversal order. The traversal also
-  // records each node's depth and parent edge for pivot()'s cycle walk.
-  void compute_potentials() {
-    u_.assign(bal_.m, 0.0);
-    v_.assign(bal_.n, 0.0);
-    std::fill(depth_.begin(), depth_.end(), kNone);
+  // Potentials u_i + v_j = c_ij on basic cells, rooted at row 0 (u_0 = 0).
+  // Each potential follows from its unique tree parent, so it is a fixed
+  // function of its path from row 0: the values depend neither on the
+  // traversal order nor on whether the walk starts at the root or at a
+  // subtree whose parent is already up to date. The walk also records each
+  // node's depth and parent edge for pivot()'s cycle walk. Returns whether
+  // the basis spans all m + n nodes.
+  bool compute_potentials() {
+    u_[0] = 0.0;
     depth_[0] = 0;
-    stack_.assign(1, 0);
+    tree_edge_[0] = kNone;
+    return walk_down(0) + 1 == bal_.m + bal_.n;
+  }
+
+  // Make `slot` the tree edge from `child` up to `parent`, and derive the
+  // child's potential, depth and parent edge from the parent's.
+  void hang(std::size_t child, std::size_t parent, std::size_t slot) {
+    const double cost = bal_.cost[slot_cell_[slot]];
+    if (parent < bal_.m)
+      v_[child - bal_.m] = cost - u_[parent];
+    else
+      u_[child] = cost - v_[parent - bal_.m];
+    depth_[child] = depth_[parent] + 1;
+    tree_edge_[child] = slot;
+  }
+
+  // Hang every node below `top` (whose own potential, depth and parent edge
+  // are current) from its tree parent; returns how many it reached. A walk
+  // that would reach all m + n nodes below `top` has met a cycle and stops.
+  std::size_t walk_down(std::size_t top) {
+    const std::size_t nodes = bal_.m + bal_.n;
+    std::size_t reached = 0;
+    stack_.assign(1, top);
     while (!stack_.empty()) {
       const std::size_t node = stack_.back();
       stack_.pop_back();
       for (std::size_t half = head_[node]; half != kNone; half = next_[half]) {
-        const std::size_t next = end_node(half ^ 1);
-        if (depth_[next] != kNone) continue;
-        const double cost = bal_.cost[slot_cell_[half / 2]];
-        if (node < bal_.m)
-          v_[next - bal_.m] = cost - u_[node];
-        else
-          u_[next] = cost - v_[node - bal_.m];
-        depth_[next] = depth_[node] + 1;
-        tree_edge_[next] = half / 2;
-        stack_.push_back(next);
+        if (half / 2 == tree_edge_[node]) continue;
+        if (++reached == nodes) return reached;
+        const std::size_t child = end_node(half ^ 1);
+        hang(child, node, half / 2);
+        stack_.push_back(child);
       }
     }
+    return reached;
   }
 
   // Reduced costs are differences of quantities that can carry big-M
@@ -277,11 +331,35 @@ class TransportSimplex {
                            std::abs(u_[i]) + std::abs(v_[j]));
   }
 
+  // Row i's minimum reduced cost over all its cells, basic ones included:
+  // the same expression in the same order as the pricing loops, so the
+  // same bits, but branch-free and in four independent chains, which
+  // runs the pass at load bandwidth. Every tolerance is at least kEps, so a
+  // row whose minimum is not below min(best, -kEps) holds no cell pricing
+  // can take, and the pricing loops skip it without changing their pick.
+  [[nodiscard]] double row_min(std::size_t i) const {
+    const std::size_t n = bal_.n;
+    const double* cost = bal_.cost.data() + i * n;
+    const double* v = v_.data();
+    const double u = u_[i];
+    double m0 = kInfinity, m1 = kInfinity, m2 = kInfinity, m3 = kInfinity;
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      m0 = std::min(m0, cost[j] - u - v[j]);
+      m1 = std::min(m1, cost[j + 1] - u - v[j + 1]);
+      m2 = std::min(m2, cost[j + 2] - u - v[j + 2]);
+      m3 = std::min(m3, cost[j + 3] - u - v[j + 3]);
+    }
+    for (; j < n; ++j) m0 = std::min(m0, cost[j] - u - v[j]);
+    return std::min(std::min(m0, m1), std::min(m2, m3));
+  }
+
   [[nodiscard]] std::tuple<std::size_t, std::size_t, double>
   most_negative_cell() const {
     double best = 0.0;
     std::size_t bi = 0, bj = 0;
     for (std::size_t i = 0; i < bal_.m; ++i) {
+      if (row_min(i) >= std::min(best, -kEps)) continue;
       for (std::size_t j = 0; j < bal_.n; ++j) {
         if (basic_[i * bal_.n + j]) continue;
         const double reduced = bal_.cost[i * bal_.n + j] - u_[i] - v_[j];
@@ -300,6 +378,7 @@ class TransportSimplex {
   [[nodiscard]] std::tuple<std::size_t, std::size_t, double>
   first_negative_cell() const {
     for (std::size_t i = 0; i < bal_.m; ++i) {
+      if (row_min(i) >= -kEps) continue;
       for (std::size_t j = 0; j < bal_.n; ++j) {
         if (basic_[i * bal_.n + j]) continue;
         const double reduced = bal_.cost[i * bal_.n + j] - u_[i] - v_[j];
@@ -310,10 +389,9 @@ class TransportSimplex {
   }
 
   // Find the unique alternating cycle created by adding (enter_i, enter_j)
-  // to the basis tree, shift flow around it, and swap basis membership.
-  // Returns theta, the amount of flow shifted (0 on a degenerate pivot).
-  // Relies on depth_/tree_edge_ from the compute_potentials() call that
-  // priced this entering cell.
+  // to the basis tree, shift flow around it, swap basis membership and bring
+  // the potentials up to date. Returns theta, the amount of flow shifted (0
+  // on a degenerate pivot).
   double pivot(std::size_t enter_i, std::size_t enter_j) {
     // Tree path from row enter_i (start) to column enter_j (goal): climb
     // from the deeper end until the two walks meet. up_ gets the start
@@ -339,6 +417,7 @@ class TransportSimplex {
     plus_.clear();
     for (std::size_t p = 0; p < up_.size(); ++p)
       (p % 2 == 0 ? minus_ : plus_).push_back(up_[p]);
+    const std::size_t start_side = minus_.size();
     for (std::size_t q = down_.size(); q-- > 0;)
       (q % 2 == 0 ? minus_ : plus_).push_back(down_[q]);
     // Theta = min flow on minus cells, first in path order on ties. Under
@@ -346,28 +425,40 @@ class TransportSimplex {
     // anti-cycling guarantee).
     double theta = kInfinity;
     std::size_t leaving = 0;  // slot
-    for (const std::size_t slot : minus_) {
+    bool leaving_on_start_side = false;
+    for (std::size_t k = 0; k < minus_.size(); ++k) {
+      const std::size_t slot = minus_[k];
       const std::size_t cell = slot_cell_[slot];
-      const double f = flow_[cell];
+      const double f = slot_flow_[slot];
       const bool tie_wins = bland_ && f == theta && cell < slot_cell_[leaving];
       if (f < theta || tie_wins) {
         theta = f;
         leaving = slot;
+        leaving_on_start_side = k < start_side;
       }
     }
+    for (const std::size_t slot : plus_) slot_flow_[slot] += theta;
+    for (const std::size_t slot : minus_) slot_flow_[slot] -= theta;
+    // The entering cell takes over the leaving cell's slot, and with it
+    // theta (the leaving cell's flow before this pivot).
     const std::size_t enter = enter_i * bal_.n + enter_j;
-    flow_[enter] += theta;
-    for (const std::size_t slot : plus_) flow_[slot_cell_[slot]] += theta;
-    for (const std::size_t slot : minus_) flow_[slot_cell_[slot]] -= theta;
-    const std::size_t leaving_cell = slot_cell_[leaving];
     basic_[enter] = 1;
-    basic_[leaving_cell] = 0;
-    flow_[leaving_cell] = 0.0;  // kill -0 noise
+    basic_[slot_cell_[leaving]] = 0;
     unlink(2 * leaving);
     unlink(2 * leaving + 1);
     slot_cell_[leaving] = enter;
+    slot_flow_[leaving] = theta;
     link(2 * leaving);
     link(2 * leaving + 1);
+    // Dropping the leaving cell cut the subtree below it off from row 0;
+    // that subtree holds the entering cell's end on the leaving cell's side
+    // of the path. The entering cell re-hangs it from its other end, and
+    // only its nodes get new potentials.
+    const std::size_t row = enter_i;
+    const std::size_t col = bal_.m + enter_j;
+    const std::size_t top = leaving_on_start_side ? row : col;
+    hang(top, leaving_on_start_side ? col : row, leaving);
+    walk_down(top);
     return theta;
   }
 
@@ -375,27 +466,29 @@ class TransportSimplex {
   const std::vector<char>* warm_cells_ = nullptr;
   bool seeded_ = false;
   bool bland_ = false;
-  std::vector<double> flow_;
-  std::vector<char> basic_;
+  std::vector<char> basic_;  // m*n basis membership
   std::vector<double> u_, v_;
-  std::vector<std::size_t> parent_;  // union-find, repair_basis_tree only
-  // Basis tree incidence lists (see build_tree_index).
-  std::vector<std::size_t> slot_cell_, head_, next_, prev_;
+  std::vector<std::size_t> parent_;  // union-find, connect_basis_tree only
+  // The basis, one cell and its flow per slot, and its incidence lists (see
+  // link_slots).
+  std::vector<std::size_t> slot_cell_;
+  std::vector<double> slot_flow_;
+  std::vector<std::size_t> head_, next_, prev_;
   // Rooted at row 0 by compute_potentials(); nodes are rows then columns.
   std::vector<std::size_t> depth_, tree_edge_;
-  // Per-pivot scratch, reused across pivots.
-  std::vector<std::size_t> stack_, up_, down_, minus_, plus_;
+  // Per-pivot scratch, reused across pivots; order_ for extract().
+  std::vector<std::size_t> stack_, up_, down_, minus_, plus_, order_;
   std::size_t iterations_ = 0;
 };
 
 // One solve body behind both public entry points. `basis`, when non-null, is
-// consulted for the dirty-basis fast path and refreshed (or invalidated) on
-// the way out.
-TransportationResult solve_impl(const TransportationProblem& problem,
+// consulted for the dirty-basis fast path, lends its buffers to the solve and
+// is refreshed (or invalidated) on the way out.
+TransportationResult solve_impl(const TransportationView& problem,
                                 const std::vector<double>* warm_flow,
                                 TransportationBasis* basis) {
-  const std::size_t m = problem.sources();
-  const std::size_t n = problem.destinations();
+  const std::size_t m = problem.supply.size();
+  const std::size_t n = problem.capacity.size();
   if (problem.cost.size() != m * n)
     throw std::invalid_argument("solve_transportation: cost size mismatch");
   for (double s : problem.supply)
@@ -404,7 +497,6 @@ TransportationResult solve_impl(const TransportationProblem& problem,
     if (c < 0) throw std::invalid_argument("solve_transportation: negative capacity");
 
   TransportationResult result;
-  result.flow.assign(m * n, 0.0);
   const double total_supply =
       std::accumulate(problem.supply.begin(), problem.supply.end(), 0.0);
   const double total_capacity =
@@ -413,11 +505,13 @@ TransportationResult solve_impl(const TransportationProblem& problem,
     // Nothing to ship: trivially optimal at zero.
     if (basis != nullptr) basis->valid = false;
     result.status = Status::kOptimal;
+    result.flow.assign(m * n, 0.0);
     return result;
   }
   if (n == 0 || total_supply > total_capacity + kEps) {
     if (basis != nullptr) basis->valid = false;
     result.status = Status::kInfeasible;
+    result.flow.assign(m * n, 0.0);
     return result;
   }
 
@@ -425,20 +519,20 @@ TransportationResult solve_impl(const TransportationProblem& problem,
   bal.has_dummy = total_capacity > total_supply + kEps;
   bal.m = m + (bal.has_dummy ? 1 : 0);
   bal.n = n;
-  bal.supply = problem.supply;
+  bal.supply.assign(problem.supply.begin(), problem.supply.end());
   if (bal.has_dummy) bal.supply.push_back(total_capacity - total_supply);
-  bal.demand = problem.capacity;
+  bal.demand.assign(problem.capacity.begin(), problem.capacity.end());
   // Big-M: strictly dominates any finite objective.
   double max_finite = 1.0;
   for (double c : problem.cost)
     if (c != kInfinity) max_finite = std::max(max_finite, std::abs(c));
-  bal.big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
-  bal.cost.assign(bal.m * bal.n, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      bal.cost[i * n + j] =
-          problem.cost[i * n + j] == kInfinity ? bal.big_m : problem.cost[i * n + j];
-  // Dummy row cost stays 0.
+  const double big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
+  if (basis != nullptr) bal.cost = std::move(basis->cost);
+  bal.cost.resize(bal.m * bal.n);
+  for (std::size_t cell = 0; cell < m * n; ++cell)
+    bal.cost[cell] = problem.cost[cell] == kInfinity ? big_m : problem.cost[cell];
+  std::fill(bal.cost.begin() + static_cast<std::ptrdiff_t>(m * n),
+            bal.cost.end(), 0.0);  // dummy row
 
   // Dirty-basis eligibility: the retained basis must come from the *same*
   // balanced instance modulo costs — identical shape and bit-identical
@@ -459,55 +553,39 @@ TransportationResult solve_impl(const TransportationProblem& problem,
         warm_cells[cell] = 1;  // never prioritize a now-forbidden route
   }
   TransportSimplex simplex(bal, warm_cells.empty() ? nullptr : &warm_cells);
-  if (dirty) {
-    simplex.seed_basis(std::move(basis->flow), std::move(basis->basic));
-    result.dirty_resolve = true;
-  }
+  if (basis != nullptr)
+    simplex.adopt(std::move(basis->basic), std::move(basis->cells),
+                  std::move(basis->flows), dirty);
   const std::size_t max_iterations = 100 * (bal.m + bal.n) * (bal.m + bal.n) + 1000;
-  const Status status = simplex.solve(max_iterations);
+  result.status = simplex.solve(max_iterations);
   result.iterations = simplex.iterations();
   result.bland_fallback = simplex.bland();
-  if (status != Status::kOptimal) {
-    if (basis != nullptr) basis->valid = false;
-    result.status = status;
-    return result;
-  }
-  // Check forbidden cells and extract the real flow grid.
-  double objective = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double f = simplex.flow()[i * bal.n + j];
-      if (f > kEps && problem.cost[i * n + j] == kInfinity) {
-        if (basis != nullptr) basis->valid = false;
-        result.status = Status::kInfeasible;  // needed a forbidden route
-        return result;
-      }
-      result.flow[i * n + j] = f;
-      if (f > 0) objective += f * problem.cost[i * n + j];
-    }
-  }
-  result.objective = objective;
-  result.status = Status::kOptimal;
+  result.dirty_resolve = simplex.resumed();
+  if (result.status == Status::kOptimal)
+    result.status = simplex.extract(problem, result);
+  else
+    result.flow.assign(m * n, 0.0);
   if (basis != nullptr) {
-    basis->valid = true;
+    basis->valid = result.optimal();
     basis->m = bal.m;
     basis->n = bal.n;
     basis->supply = std::move(bal.supply);
     basis->demand = std::move(bal.demand);
-    simplex.release_basis(basis->flow, basis->basic);
+    simplex.release_basis(basis->basic, basis->cells, basis->flows);
+    basis->cost = std::move(bal.cost);
   }
   return result;
 }
 
 }  // namespace
 
-TransportationResult solve_transportation(const TransportationProblem& problem,
+TransportationResult solve_transportation(TransportationView problem,
                                           const std::vector<double>* warm_flow) {
   return solve_impl(problem, warm_flow, nullptr);
 }
 
 TransportationResult solve_transportation_dirty(
-    const TransportationProblem& problem, TransportationBasis& basis,
+    TransportationView problem, TransportationBasis& basis,
     const std::vector<double>* warm_flow) {
   return solve_impl(problem, warm_flow, &basis);
 }

@@ -12,16 +12,32 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "solver/lp.hpp"
 
 namespace dust::solver {
 
+/// Non-owning view of a transportation instance, laid out as in
+/// TransportationProblem. The solve entry points take one, so a caller that
+/// already holds the quantities and the cost grid (the placement engine's
+/// model) solves them in place instead of copying them into a problem.
+struct TransportationView {
+  std::span<const double> supply;
+  std::span<const double> capacity;
+  std::span<const double> cost;
+};
+
 struct TransportationProblem {
   std::vector<double> supply;    ///< Cs_i — must be shipped in full
   std::vector<double> capacity;  ///< Cd_j — per-destination limit
   std::vector<double> cost;      ///< row-major m*n; kInfinity = forbidden
+
+  /// Implicit, so every solve entry point takes a problem directly.
+  operator TransportationView() const noexcept {
+    return {supply, capacity, cost};
+  }
 
   [[nodiscard]] std::size_t sources() const noexcept { return supply.size(); }
   [[nodiscard]] std::size_t destinations() const noexcept {
@@ -59,21 +75,23 @@ struct TransportationResult {
 /// basis — any hint (even a wrong one) still converges to the exact optimum.
 /// Mismatched sizes are ignored.
 TransportationResult solve_transportation(
-    const TransportationProblem& problem,
-    const std::vector<double>* warm_flow = nullptr);
+    TransportationView problem, const std::vector<double>* warm_flow = nullptr);
 
 /// Retained simplex state for dirty-basis re-solves (DESIGN.md §13): the
 /// balanced instance's basis tree and flows as they stood at the end of an
 /// optimal solve. Treat the contents as opaque; default-construct once and
 /// hand the same object to successive solve_transportation_dirty calls.
+/// Every solve through it reuses its m*n buffers, valid or not.
 struct TransportationBasis {
   bool valid = false;
   std::size_t m = 0;  ///< balanced rows (includes the dummy row if present)
   std::size_t n = 0;
   std::vector<double> supply;  ///< balanced quantities the basis solved under
   std::vector<double> demand;
-  std::vector<double> flow;  ///< balanced m*n basic flows
   std::vector<char> basic;   ///< balanced m*n basis membership
+  std::vector<std::size_t> cells;  ///< the m + n - 1 basic cells
+  std::vector<double> flows;       ///< flow on each of `cells`
+  std::vector<double> cost;  ///< storage for the balanced m*n cost grid
 };
 
 /// Dirty-basis re-solve: when `basis` holds the previous solve's state and
@@ -87,7 +105,7 @@ struct TransportationBasis {
 /// start hint exactly as in solve_transportation. On every optimal exit the
 /// basis is refreshed for the next call; on failure it is invalidated.
 TransportationResult solve_transportation_dirty(
-    const TransportationProblem& problem, TransportationBasis& basis,
+    TransportationView problem, TransportationBasis& basis,
     const std::vector<double>* warm_flow = nullptr);
 
 /// Express the same problem as a LinearProgram (variables row-major x_ij)

@@ -409,6 +409,170 @@ TEST(TransportationPinned, PivotPathsMatchDenseReference) {
   EXPECT_GE(bland_cases, 1u);
 }
 
+// ---- Pinned pivot paths at scale -----------------------------------------
+//
+// The same pins on instances of at least 200 x 400 cells, where pricing, the
+// potentials update and the dirty-basis resume carry real weight: fabric-like
+// quantized costs, forbidden cells, integer ties that switch to Bland's rule,
+// near-diagonal costs whose basis is a deep path-like tree (depth above 200,
+// where the quantized family's stays near 40), and chains of dirty re-solves
+// (one round of each chain changes a supply and so restarts cold on the
+// retained buffers). The pins were recorded from the solver that priced every
+// cell in its scalar loop, walked the whole tree for potentials after every
+// pivot and re-indexed a retained basis by scanning the m*n grid.
+
+enum class Large {
+  kQuantized,       // costs on a 0.25 grid, slack capacity (dummy row)
+  kForbidden,       // kQuantized with ~30% forbidden cells
+  kTies,            // costs 1 or 2, 0/1 supplies, exact balance
+  kStaircase,       // costs grow with the distance from the diagonal
+  kDirty,           // kQuantized, then four re-solve rounds
+  kDirtyStaircase,  // kStaircase, then four re-solve rounds
+};
+
+TransportationProblem large_instance(Large family, util::Rng& rng) {
+  TransportationProblem p;
+  const std::size_t m = 200 + rng.below(40);
+  const std::size_t n = 400 + rng.below(80);
+  if (family == Large::kTies) {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      p.supply.push_back(rng.below(4) == 0 ? 1.0 : 0.0);
+      total += static_cast<std::size_t>(p.supply.back());
+    }
+    p.capacity.assign(n, 0.0);
+    const std::size_t open = n / 2 + rng.below(n / 2);
+    for (std::size_t unit = 0; unit < total; ++unit)
+      p.capacity[rng.below(open)] += 1.0;
+    for (std::size_t c = 0; c < m * n; ++c)
+      p.cost.push_back(static_cast<double>(1 + rng.below(2)));
+    return p;
+  }
+  const bool stair =
+      family == Large::kStaircase || family == Large::kDirtyStaircase;
+  for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(0.5, 10.0));
+  const double total = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  for (std::size_t j = 0; j < n; ++j)
+    p.capacity.push_back(total / static_cast<double>(n) *
+                         rng.uniform(1.0, stair ? 1.05 : 2.5));
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double gap = static_cast<double>(i) / static_cast<double>(m) -
+                         static_cast<double>(j) / static_cast<double>(n);
+      double c = stair ? 100.0 * gap * gap + rng.uniform(0.0, 0.01)
+                       : 0.25 * static_cast<double>(1 + rng.below(24));
+      if (family == Large::kForbidden && rng.below(10) < 3) c = kInfinity;
+      p.cost.push_back(c);
+    }
+  }
+  return p;
+}
+
+struct LargePin {
+  Large family;
+  std::uint64_t seed;
+  bool bland_fallback;         // any solve of the case switched to Bland
+  std::size_t iterations;      // summed over every solve of the case
+  std::uint64_t objective_bits;  // of the last solve
+  std::uint64_t flow_digest;   // folded over every solve's flow
+};
+
+LargePin observe_large(Large family, std::uint64_t seed) {
+  util::Rng rng(seed);
+  TransportationProblem p = large_instance(family, rng);
+  LargePin got{family, seed, false, 0, 0, 0};
+  const auto record = [&got](const TransportationResult& r) {
+    EXPECT_EQ(r.status, Status::kOptimal);
+    got.bland_fallback = got.bland_fallback || r.bland_fallback;
+    got.iterations += r.iterations;
+    got.objective_bits = std::bit_cast<std::uint64_t>(r.objective);
+    got.flow_digest = got.flow_digest * 0x100000001b3ULL ^ flow_digest(r.flow);
+  };
+  if (family != Large::kDirty && family != Large::kDirtyStaircase) {
+    record(solve_transportation(p));
+    return got;
+  }
+  TransportationBasis basis;
+  record(solve_transportation_dirty(p, basis));
+  for (int round = 0; round < 4; ++round) {
+    if (round == 2) {
+      p.supply[rng.below(p.supply.size())] *= 0.9;
+    } else {
+      for (double& c : p.cost) {
+        if (rng.below(100) != 0) continue;
+        if (family == Large::kDirty)
+          c = std::max(0.25, c + 0.25 * (static_cast<double>(rng.below(3)) - 1.0));
+        else
+          c *= rng.uniform(0.97, 1.03);
+      }
+    }
+    const TransportationResult r = solve_transportation_dirty(p, basis);
+    EXPECT_EQ(r.dirty_resolve, round != 2);
+    expect_spanning_tree(basis);
+    record(r);
+  }
+  return got;
+}
+
+// clang-format off
+constexpr LargePin kLargePins[] = {
+  {Large::kQuantized, 1, false, 239, 0x4073bf2fe31de002ULL, 0x60fac472f27724c3ULL},
+  {Large::kQuantized, 2, false, 221, 0x4071c3af8499e312ULL, 0x0492f4eb347a4be5ULL},
+  {Large::kForbidden, 1, false, 277, 0x4073bf2fe31de001ULL, 0x0a1e523f62a44defULL},
+  {Large::kTies, 8, true, 2204, 0x404a000000000000ULL, 0xfe9574a6c931daadULL},
+  {Large::kTies, 10, true, 1443, 0x404d000000000000ULL, 0xb9cdac6dbe471557ULL},
+  {Large::kStaircase, 1, false, 794, 0x40267bdfde196f4aULL, 0x38100f53827359a6ULL},
+  {Large::kStaircase, 2, false, 1432, 0x402ece49adc80a02ULL, 0xb4d000b142ad5a60ULL},
+  {Large::kDirty, 1, false, 521, 0x4073bb506a58f255ULL, 0x5114f02bf88eda1aULL},
+  {Large::kDirty, 2, false, 553, 0x4071c149c74c5477ULL, 0x3018e4ebb9b1dec0ULL},
+  {Large::kDirtyStaircase, 1, false, 1629, 0x402672ac3b67b77eULL, 0x68435cb990a3f00cULL},
+};
+// clang-format on
+
+TEST(TransportationPinned, LargePivotPathsMatchReference) {
+  std::size_t bland_cases = 0;
+  for (const LargePin& pin : kLargePins) {
+    SCOPED_TRACE("large family " + std::to_string(static_cast<int>(pin.family)) +
+                 " seed " + std::to_string(pin.seed));
+    const LargePin got = observe_large(pin.family, pin.seed);
+    EXPECT_EQ(got.bland_fallback, pin.bland_fallback);
+    EXPECT_EQ(got.iterations, pin.iterations);
+    EXPECT_EQ(got.objective_bits, pin.objective_bits);
+    EXPECT_EQ(got.flow_digest, pin.flow_digest);
+    if (got.bland_fallback) ++bland_cases;
+  }
+  EXPECT_GE(bland_cases, 2u);
+}
+
+// ---- Pricing tolerance ----------------------------------------------------
+//
+// Row 1's most negative reduced cost belongs to a forbidden (big-M) cell and
+// is cancellation noise: the start connects zero-capacity column 1 to row 0
+// through its big-M cell, so u_1 + v_1 = big_M + delta and the big-M cell
+// (1,1) prices at -delta, inside its big-M-scaled tolerance (~1.1e-4 here).
+// The finite cell (1,3) in the same row prices at -epsilon, less negative
+// but clear of its ~1e-9 tolerance, and is the one improving pivot. Pricing
+// must rescan the row for it rather than settle for the row's minimum.
+TEST(TransportationPricing, ToleranceRejectedRowMinimum) {
+  constexpr double kDelta = 1e-4;
+  constexpr double kEpsilon = 1e-5;
+  TransportationProblem p;
+  p.supply = {1.5, 1.5};
+  p.capacity = {2.0, 0.0, 0.5, 0.5};
+  // Least-cost start: (0,3) 0.5, (0,0) 1, (1,0) 1, (1,2) 0.5; connecting the
+  // tree adds the zero-flow big-M cell (0,1).
+  p.cost = {2.0,          kInfinity, 9.0, 1.0,
+            2.0 + kDelta, kInfinity, 3.0, 1.0 + kDelta - kEpsilon};
+  const TransportationResult r = solve_transportation(p);
+  ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_EQ(r.iterations, 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.objective), 0x40180018e757928eULL);
+  EXPECT_EQ(flow_digest(r.flow), 0x337ff832281a39c5ULL);
+  // (1,3) entered and took the 0.5 that (0,3) carried.
+  EXPECT_EQ(r.flow[1 * 4 + 3], 0.5);
+  EXPECT_EQ(r.flow[0 * 4 + 3], 0.0);
+}
+
 // Repeated dirty re-solves keep the retained basis a spanning tree: cost-only
 // changes resume from it (and pivot through the tree upkeep), quantity
 // changes fall back to a fresh start.
