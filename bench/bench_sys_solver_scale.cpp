@@ -48,6 +48,10 @@ struct ScaleStats {
     return cold_pivots == 0 ? 0.0 : cold_ms / static_cast<double>(cold_pivots);
   }
   double steady_ms = 0.0;  ///< per churned cycle, incremental pipeline
+  /// Stage split of the churned cycle: Trmin cache begin_cycle and model
+  /// build (row fill included). The solve is the rest of steady_ms.
+  double steady_sync_ms = 0.0;
+  double steady_build_ms = 0.0;
   double hit_rate = 0.0;
   std::size_t dirty_resolves = 0;
   std::size_t warm_solves = 0;
@@ -103,13 +107,19 @@ ScaleStats run_fat_tree(std::uint32_t k, std::size_t cycles,
   stats.busy = problem.busy.size();
   stats.candidates = problem.candidates.size();
 
+  double sync_ms = 0.0;
+  double build_ms = 0.0;
   util::Timer timer;
   for (std::size_t c = 0; c < cycles; ++c) {
     jitter(nmdb.network(), rng);
+    const util::Timer sync_timer;
     cache.begin_cycle(nmdb.network());
-    (void)engine.run(nmdb);
+    sync_ms += sync_timer.millis();
+    build_ms += engine.run(nmdb).build_seconds * 1e3;
   }
   stats.steady_ms = timer.millis() / static_cast<double>(cycles);
+  stats.steady_sync_ms = sync_ms / static_cast<double>(cycles);
+  stats.steady_build_ms = build_ms / static_cast<double>(cycles);
   stats.hit_rate = cache.stats().hit_rate();
   stats.dirty_resolves = engine.dirty_resolves();
   stats.warm_solves = engine.warm_solves();
@@ -180,6 +190,9 @@ void write_json(const std::vector<ScaleStats>& rows, std::size_t cycles) {
     json.add("cold_ms_per_pivot", row.cold_ms_per_pivot(), "ms", config);
     if (row.steady_ms > 0.0) {
       json.add("steady_ms_per_cycle", row.steady_ms, "ms", config);
+      json.add("steady_sync_ms_per_cycle", row.steady_sync_ms, "ms", config);
+      json.add("steady_build_ms_per_cycle", row.steady_build_ms, "ms",
+               config);
       json.add("cache_hit_rate", row.hit_rate, "ratio", config);
       json.add("dirty_resolves", static_cast<double>(row.dirty_resolves),
                "count", config);
@@ -212,15 +225,15 @@ int main() {
   util::Table table("solver & path-engine scaling");
   table.set_precision(3).header({"scale", "nodes", "edges", "busy", "cand",
                                  "cold ms", "cold pivots", "cold ms/pivot",
-                                 "steady ms/cycle", "hit rate",
-                                 "dirty resolves"});
+                                 "steady ms/cycle", "sync ms", "build ms",
+                                 "hit rate", "dirty resolves"});
   for (const ScaleStats& row : rows)
     table.row({row.label, static_cast<double>(row.nodes),
                static_cast<double>(row.edges), static_cast<double>(row.busy),
                static_cast<double>(row.candidates), row.cold_ms,
                static_cast<double>(row.cold_pivots), row.cold_ms_per_pivot(),
-               row.steady_ms, row.hit_rate,
-               static_cast<double>(row.dirty_resolves)});
+               row.steady_ms, row.steady_sync_ms, row.steady_build_ms,
+               row.hit_rate, static_cast<double>(row.dirty_resolves)});
   bench::emit(table);
   write_json(rows, cycles);
 

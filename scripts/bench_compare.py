@@ -6,7 +6,8 @@ Usage:
     bench_compare.py --self-test
 
 Every record whose metric name contains "ms_per_cycle" or "failover" with
-an "_ms" suffix is treated as a lower-is-better timing; a candidate more
+an "_ms" suffix is treated as a lower-is-better timing (except the
+per-stage splits of the steady cycle, see STAGE_SPLITS); a candidate more
 than --threshold (default 10%) slower than the baseline on the same
 (metric, config) key fails the compare (exit 1). Records that declare an absolute budget in their config string
 ("budget=5" — the obs overhead gate, instrumented and scrape-path) fail the
@@ -58,6 +59,12 @@ def record_key(record):
     return (record.get("metric", ""), record.get("config", ""))
 
 
+# Stage splits of the steady cycle (bench_sys_solver_scale) are reported
+# informationally: each is a slice of steady_ms_per_cycle, which gates the
+# whole cycle, and a one-millisecond stage moves past 10% on host noise.
+STAGE_SPLITS = ("steady_sync_ms_per_cycle", "steady_build_ms_per_cycle")
+
+
 def is_timing(metric):
     """Lower-is-better wall/sim-clock metrics the compare gates on.
 
@@ -66,6 +73,8 @@ def is_timing(metric):
     failover_ms), which must not quietly drift past the silence timeout
     they are supposed to track.
     """
+    if metric in STAGE_SPLITS:
+        return False
     return "ms_per_cycle" in metric or (
         "failover" in metric and metric.endswith("_ms"))
 
@@ -181,6 +190,17 @@ def self_test():
     ]
     failures, _ = compare(base, bad, 0.10)
     assert failures, "15% slowdown must fail a 10% threshold"
+
+    split_base = dict(base)
+    split_base["records"] = [
+        {"metric": "steady_sync_ms_per_cycle", "config": "a", "value": 1.0},
+    ]
+    split_slow = dict(base)
+    split_slow["records"] = [
+        {"metric": "steady_sync_ms_per_cycle", "config": "a", "value": 1.5},
+    ]
+    failures, _ = compare(split_base, split_slow, 0.10)
+    assert not failures, f"a stage split is informational: {failures}"
 
     cross = dict(base)
     cross["topology"] = {"nodes": 1280, "edges": 16384}

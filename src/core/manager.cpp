@@ -8,6 +8,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/span.hpp"
 #include "util/log.hpp"
+#include "util/timer.hpp"
 
 namespace dust::core {
 
@@ -75,6 +76,8 @@ DustManager::DustManager(sim::Simulator& sim, sim::TransportBase& transport,
       &registry.histogram("dust_core_placement_solve_ms");
   metrics_.placement_build_ms =
       &registry.histogram("dust_core_placement_build_ms");
+  metrics_.placement_cache_sync_ms =
+      &registry.histogram("dust_core_placement_cache_sync_ms");
   metrics_.nmdb_staleness_ms =
       &registry.histogram("dust_core_nmdb_staleness_ms");
   transport_->register_endpoint(
@@ -233,7 +236,11 @@ std::size_t DustManager::run_placement_cycle() {
   // planning copy below: the copy shares the links bit-for-bit (only node
   // utilizations are adjusted, and Trmin depends on links alone), so rows
   // cached against nmdb_ serve the adjusted view exactly.
-  if (config_.incremental_placement) trmin_cache_.begin_cycle(nmdb_.network());
+  if (config_.incremental_placement) {
+    const util::Timer sync_timer;
+    trmin_cache_.begin_cycle(nmdb_.network());
+    metrics_.placement_cache_sync_ms->observe(sync_timer.millis());
+  }
   Nmdb adjusted = nmdb_;
   for (const auto& [id, offload] : offloads_) {
     const double arriving = offload.amount *

@@ -264,6 +264,7 @@ class DustManager {
     obs::Gauge* distrusted_nodes = nullptr;    ///< nodes below the threshold
     obs::Histogram* placement_solve_ms = nullptr;  ///< wall, solver only
     obs::Histogram* placement_build_ms = nullptr;  ///< wall, model build
+    obs::Histogram* placement_cache_sync_ms = nullptr;  ///< wall, begin_cycle
     obs::Histogram* nmdb_staleness_ms = nullptr;   ///< sim-time STAT age
   };
 

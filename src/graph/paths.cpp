@@ -91,47 +91,116 @@ void hop_bounded_min_cost_into(const Graph& graph, NodeId src,
                                std::span<const double> edge_cost,
                                std::uint32_t max_hops,
                                std::vector<double>& out) {
-  if (edge_cost.size() != graph.edge_count())
-    throw std::invalid_argument("hop_bounded_min_cost: edge_cost size mismatch");
-  if (src >= graph.node_count())
-    throw std::out_of_range("hop_bounded_min_cost: src");
-  const std::uint32_t bound =
-      max_hops == 0 ? static_cast<std::uint32_t>(graph.node_count()) - 1 : max_hops;
-  std::vector<double>& best = out;
-  best.assign(graph.node_count(), kInfiniteCost);
-  // Relaxation frontiers persist per thread; every row recompute in a
-  // placement cycle reuses the same capacity instead of allocating O(n).
-  static thread_local std::vector<double> frontier;
-  static thread_local std::vector<double> next;
-  frontier.assign(graph.node_count(), kInfiniteCost);
-  best[src] = frontier[src] = 0.0;
-  next.resize(graph.node_count());
-  for (std::uint32_t hop = 0; hop < bound; ++hop) {
-    std::fill(next.begin(), next.end(), kInfiniteCost);
-    bool improved = false;
-    for (NodeId node = 0; node < graph.node_count(); ++node) {
-      if (frontier[node] == kInfiniteCost) continue;
-      for (const Adjacency& adj : graph.neighbors(node)) {
-        const double candidate = frontier[node] + edge_cost[adj.edge];
-        if (candidate < next[adj.neighbor]) next[adj.neighbor] = candidate;
-      }
-    }
-    for (NodeId node = 0; node < graph.node_count(); ++node) {
-      if (next[node] < best[node]) {
-        best[node] = next[node];
-        improved = true;
-      }
-    }
-    frontier.swap(next);
-    if (!improved) break;  // converged before the hop bound
-  }
+  shared_frontier_labels_into(graph, src, edge_cost, max_hops, out, nullptr);
 }
+
+namespace {
+
+/// The layered sweep behind shared_frontier_labels_into. kRecordVia keeps
+/// each label's layer and the per-layer predecessor edges the used-edges
+/// backwalk needs; label-only callers skip those stores.
+template <bool kRecordVia>
+std::size_t frontier_sweep(const Graph& graph, NodeId src,
+                           std::span<const double> edge_cost,
+                           std::uint32_t bound, std::vector<double>& best,
+                           std::vector<std::uint32_t>& best_layer,
+                           std::vector<EdgeId>& layer_via) {
+  const std::size_t n = graph.node_count();
+  // `layer` holds the layer being built (cost of reaching each node in
+  // exactly h hops) and is all +inf between layers: the filter below resets
+  // every entry it reads. The frontier carries its own labels, so no
+  // earlier layer's costs are kept. All scratch is per-thread and reused
+  // across calls.
+  static thread_local std::vector<double> layer;
+  static thread_local std::vector<NodeId> frontier;
+  static thread_local std::vector<double> frontier_cost;
+  static thread_local std::vector<NodeId> fresh;
+  static thread_local std::vector<char> touched;
+  layer.assign(n, kInfiniteCost);
+  touched.assign(n, 0);
+  frontier.resize(n);
+  frontier_cost.resize(n);
+  fresh.resize(n + 1);  // the unconditional append writes one past the count
+  frontier[0] = src;
+  frontier_cost[0] = 0.0;
+  std::size_t frontier_size = 1;
+  std::size_t rounds = 0;
+  for (std::uint32_t h = 1; h <= bound && frontier_size != 0; ++h) {
+    ++rounds;
+    // The via table is grown on demand, so its high-water memory is
+    // rounds-actually-run * n, not max_hops * n (the sweep converges at the
+    // weighted diameter, far below n - 1 for unbounded queries).
+    EdgeId* via = nullptr;
+    if constexpr (kRecordVia) {
+      if (layer_via.size() < (h + 1) * n) layer_via.resize((h + 1) * n);
+      via = layer_via.data() + h * n;
+    }
+    if (h == bound) {
+      // Last layer: nothing expands it, so relax straight into the labels.
+      // Keeping the first strictly-better candidate leaves the same label
+      // and predecessor as the min-then-compare of the inner layers.
+      for (std::size_t i = 0; i < frontier_size; ++i) {
+        const double base = frontier_cost[i];
+        for (const Adjacency& adj : graph.neighbors(frontier[i])) {
+          const NodeId w = adj.neighbor;
+          const double candidate = base + edge_cost[adj.edge];
+          const bool better = candidate < best[w];
+          best[w] = better ? candidate : best[w];
+          if constexpr (kRecordVia) {
+            best_layer[w] = better ? h : best_layer[w];
+            via[w] = better ? adj.edge : via[w];
+          }
+        }
+      }
+      break;
+    }
+    // Relax in frontier order and list every touched node in first-touch
+    // order. Both orders are part of the result: with tied path costs they
+    // decide which predecessor a label keeps, and so the used_edges bitmap.
+    std::size_t fresh_size = 0;
+    for (std::size_t i = 0; i < frontier_size; ++i) {
+      const double base = frontier_cost[i];
+      for (const Adjacency& adj : graph.neighbors(frontier[i])) {
+        const NodeId w = adj.neighbor;
+        const double candidate = base + edge_cost[adj.edge];
+        fresh[fresh_size] = w;
+        fresh_size += !touched[w];
+        touched[w] = 1;
+        const bool better = candidate < layer[w];
+        layer[w] = better ? candidate : layer[w];
+        if constexpr (kRecordVia) via[w] = better ? adj.edge : via[w];
+      }
+    }
+    // Only strict improvers are re-expanded: a walk that reaches a node at
+    // cost >= an earlier layer's label is dominated edge-for-edge by
+    // extending that earlier, cheaper-and-shorter label instead. This is
+    // what keeps the frontier sparse and the labels bit-identical to a dense
+    // layered Bellman-Ford, which carries the dominated entries along
+    // without ever letting them win.
+    frontier_size = 0;
+    for (std::size_t i = 0; i < fresh_size; ++i) {
+      const NodeId w = fresh[i];
+      const double cost = layer[w];
+      touched[w] = 0;
+      layer[w] = kInfiniteCost;
+      const bool improves = cost < best[w];
+      best[w] = improves ? cost : best[w];
+      if constexpr (kRecordVia) best_layer[w] = improves ? h : best_layer[w];
+      frontier[frontier_size] = w;
+      frontier_cost[frontier_size] = cost;
+      frontier_size += improves;
+    }
+  }
+  return rounds;
+}
+
+}  // namespace
 
 void shared_frontier_labels_into(const Graph& graph, NodeId src,
                                  std::span<const double> edge_cost,
                                  std::uint32_t max_hops,
                                  std::vector<double>& best,
-                                 std::vector<std::uint64_t>& used_edges,
+                                 std::vector<std::uint64_t>* used_edges,
                                  std::size_t* rounds_out) {
   if (edge_cost.size() != graph.edge_count())
     throw std::invalid_argument(
@@ -143,80 +212,33 @@ void shared_frontier_labels_into(const Graph& graph, NodeId src,
       max_hops == 0 ? static_cast<std::uint32_t>(n) - 1 : max_hops;
   best.assign(n, kInfiniteCost);
   best[src] = 0.0;
-  used_edges.assign((graph.edge_count() + 63) / 64, 0);
-
-  // Layer h of the flattened tables holds the cost/predecessor of reaching a
-  // node in exactly h hops; layers are grown on demand so the high-water
-  // memory is rounds-actually-run * n, not max_hops * n (the sweep converges
-  // at the weighted diameter, far below n - 1 for unbounded queries). All
-  // scratch is per-thread and reused across calls.
-  static thread_local std::vector<double> layer_cost;
-  static thread_local std::vector<EdgeId> layer_via;
   static thread_local std::vector<std::uint32_t> best_layer;
-  static thread_local std::vector<NodeId> frontier;
-  static thread_local std::vector<NodeId> fresh;
-  static thread_local std::vector<char> touched;
-  best_layer.assign(n, 0);
-  touched.assign(n, 0);
-  if (layer_cost.size() < n) {
-    layer_cost.resize(n);
-    layer_via.resize(n);
-  }
-  layer_cost[src] = 0.0;  // layer 0
-  frontier.clear();
-  frontier.push_back(src);
+  static thread_local std::vector<EdgeId> layer_via;
   std::size_t rounds = 0;
-  for (std::uint32_t h = 1; h <= bound && !frontier.empty(); ++h) {
-    ++rounds;
-    const std::size_t prev = (h - 1) * n;
-    const std::size_t cur = h * n;
-    if (layer_cost.size() < cur + n) {
-      layer_cost.resize(cur + n);
-      layer_via.resize(cur + n);
-    }
-    fresh.clear();
-    for (NodeId node : frontier) {
-      const double base = layer_cost[prev + node];
-      for (const Adjacency& adj : graph.neighbors(node)) {
-        const double candidate = base + edge_cost[adj.edge];
-        if (!touched[adj.neighbor]) {
-          touched[adj.neighbor] = 1;
-          fresh.push_back(adj.neighbor);
-          layer_cost[cur + adj.neighbor] = candidate;
-          layer_via[cur + adj.neighbor] = adj.edge;
-        } else if (candidate < layer_cost[cur + adj.neighbor]) {
-          layer_cost[cur + adj.neighbor] = candidate;
-          layer_via[cur + adj.neighbor] = adj.edge;
-        }
+  if (used_edges == nullptr) {
+    rounds = frontier_sweep<false>(graph, src, edge_cost, bound, best,
+                                   best_layer, layer_via);
+  } else {
+    best_layer.assign(n, 0);
+    rounds = frontier_sweep<true>(graph, src, edge_cost, bound, best,
+                                  best_layer, layer_via);
+    // Backwalk: every reached destination's winning label sits at
+    // (best_layer[v], v); its predecessor chain passes only through nodes
+    // that were strict improvers at their layer, so each hop of the walk
+    // has a recorded via edge. OR the path edges into the shared bitmap.
+    // A walked entry is overwritten with kInvalidEdge, so a later walk
+    // stops where an earlier one already OR-ed the rest of the chain.
+    used_edges->assign((graph.edge_count() + 63) / 64, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      if (v == src || best[v] == kInfiniteCost) continue;
+      NodeId node = v;
+      for (std::uint32_t h = best_layer[v]; h > 0; --h) {
+        EdgeId& e = layer_via[h * n + node];
+        if (e == kInvalidEdge) break;
+        (*used_edges)[e / 64] |= std::uint64_t{1} << (e % 64);
+        node = graph.edge(e).other(node);
+        e = kInvalidEdge;
       }
-    }
-    // Only strict improvers are re-expanded: a walk that reaches a node at
-    // cost >= an earlier layer's label is dominated edge-for-edge by
-    // extending that earlier, cheaper-and-shorter label instead. This is
-    // what keeps the frontier sparse (and the labels bit-identical to the
-    // dense hop_bounded_min_cost relaxation, which carries the dominated
-    // entries along without ever letting them win).
-    frontier.clear();
-    for (NodeId node : fresh) {
-      touched[node] = 0;
-      if (layer_cost[cur + node] < best[node]) {
-        best[node] = layer_cost[cur + node];
-        best_layer[node] = h;
-        frontier.push_back(node);
-      }
-    }
-  }
-  // Backwalk: every reached destination's winning label sits at
-  // (best_layer[v], v); its predecessor chain passes only through nodes
-  // that were strict improvers at their layer, so each hop of the walk has
-  // a recorded via edge. OR the path edges into the shared bitmap.
-  for (NodeId v = 0; v < n; ++v) {
-    if (v == src || best[v] == kInfiniteCost) continue;
-    NodeId node = v;
-    for (std::uint32_t h = best_layer[v]; h > 0; --h) {
-      const EdgeId e = layer_via[h * n + node];
-      used_edges[e / 64] |= std::uint64_t{1} << (e % 64);
-      node = graph.edge(e).other(node);
     }
   }
   if (rounds_out != nullptr) *rounds_out = rounds;

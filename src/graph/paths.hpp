@@ -6,9 +6,11 @@
 //   * for_each_simple_path / enumerate_simple_paths — the paper-faithful
 //     exhaustive enumeration (exponential in max_hops; this is what makes the
 //     paper's optimization runtime curves in Figs 8/10 grow with max-hop);
-//   * hop_bounded_min_cost — layered Bellman-Ford DP, O(max_hops * |E|),
-//     which computes the same minimum when costs are non-negative (a walk
-//     that revisits a node is never cheaper than its shortcut sub-path).
+//   * hop_bounded_min_cost / shared_frontier_labels_into — one layered DP
+//     over walks of at most max_hops edges that re-expands only the nodes
+//     whose label strictly improved, O(rounds * |E|) at worst; it computes
+//     the same minimum when costs are non-negative (a walk that revisits a
+//     node is never cheaper than its shortcut sub-path).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +55,9 @@ ShortestPathTree dijkstra(const Graph& graph, NodeId src,
                           std::span<const double> edge_cost);
 
 /// Minimum additive cost src -> each node over walks of at most `max_hops`
-/// edges (layered Bellman-Ford). Equals the simple-path minimum for
-/// non-negative costs. max_hops == 0 means "no bound" (uses node_count - 1).
+/// edges: the labels of shared_frontier_labels_into without the edge
+/// support. Equals the simple-path minimum for non-negative costs.
+/// max_hops == 0 means "no bound" (uses node_count - 1).
 std::vector<double> hop_bounded_min_cost(const Graph& graph, NodeId src,
                                          std::span<const double> edge_cost,
                                          std::uint32_t max_hops);
@@ -69,27 +72,33 @@ void hop_bounded_min_cost_into(const Graph& graph, NodeId src,
 
 /// Shared-frontier label sweep (DESIGN.md §13): one layered-DP pass from
 /// `src` that produces, for *every* node simultaneously,
-///   * the hop-bounded min cost (== hop_bounded_min_cost for the same
-///     inputs, bit-identical), and
-///   * the edge support of one winning path per destination, OR-ed into a
-///     single bitmap over EdgeId (word e/64, bit e%64) — the same contract
-///     ResponseTimeResult::used_edges documents for the exhaustive
-///     enumerator, at O(rounds * |E|) instead of exponential cost.
+///   * the hop-bounded min cost over walks of at most `max_hops` edges
+///     (bit-identical to a dense layered Bellman-Ford on the same inputs),
+///     and
+///   * when `used_edges` is given, the edge support of one winning path per
+///     destination, OR-ed into a single bitmap over EdgeId (word e/64, bit
+///     e%64) — the same contract ResponseTimeResult::used_edges documents
+///     for the exhaustive enumerator, at O(rounds * |E|) instead of
+///     exponential cost.
 ///
 /// The sweep keeps a sparse frontier (only nodes whose label strictly
-/// improved are re-expanded; with strictly positive costs a longer walk to
-/// an equal-or-worse label is dominated) and a per-layer predecessor table
-/// for the backwalk, so the work is bounded by the converged round count,
-/// not by max_hops. Scratch is per-thread and reused across calls —
+/// improved are re-expanded; with non-negative costs a longer walk to an
+/// equal-or-worse label is dominated) and a per-layer predecessor table for
+/// the backwalk, so the work is bounded by the converged round count, not
+/// by max_hops. Each layer relaxes its frontier in the order the previous
+/// layer first touched those nodes, and a label keeps the first strictly
+/// better candidate, so ties between equal-cost routes resolve the same way
+/// on every run. Scratch is per-thread and reused across calls —
 /// allocation-free in steady state, safe to call concurrently.
 ///
-/// `used_edges` is resized to ceil(edge_count/64); `rounds_out` (optional)
-/// receives the number of relaxation rounds executed.
+/// `used_edges` (optional; nullptr skips the backwalk) is resized to
+/// ceil(edge_count/64); `rounds_out` (optional) receives the number of
+/// relaxation rounds executed.
 void shared_frontier_labels_into(const Graph& graph, NodeId src,
                                  std::span<const double> edge_cost,
                                  std::uint32_t max_hops,
                                  std::vector<double>& best,
-                                 std::vector<std::uint64_t>& used_edges,
+                                 std::vector<std::uint64_t>* used_edges,
                                  std::size_t* rounds_out = nullptr);
 
 /// Reconstruct a concrete minimum-cost path src -> dst over paths of at most

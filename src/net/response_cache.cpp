@@ -117,6 +117,11 @@ void ResponseTimeCache::begin_cycle(NetworkState& net) {
   // Rows without used_edges (kHopBoundedDp) fall back to the conservative
   // hop-ball test: one multi-source BFS from all moved endpoints, row
   // invalid iff dist(s) + 1 <= max_hops (0 = unbounded).
+  //
+  // A row survives iff it passes every link's test, so the cheap tests run
+  // first over all rows and the improved links then run one at a time over
+  // the rows still standing, each link's endpoint data in one set of reused
+  // O(n) buffers.
   std::uint32_t max_hops_cap = 0;  // loosest hop bound any valid row uses
   bool unbounded_rows = false;
   for (const Entry& entry : entries_) {
@@ -125,41 +130,6 @@ void ResponseTimeCache::begin_cycle(NetworkState& net) {
       unbounded_rows = true;
     else
       max_hops_cap = std::max(max_hops_cap, entry.max_hops);
-  }
-  struct ImprovedLink {
-    double cost;
-    std::vector<double> from_a;  ///< segment cost minima from endpoint a
-    std::vector<double> from_b;
-    std::vector<std::uint32_t> hops_a;  ///< BFS hop counts from endpoint a
-    std::vector<std::uint32_t> hops_b;
-  };
-  static thread_local std::vector<ImprovedLink> improved;
-  improved.clear();
-  bool any_worsened_ball = false;
-  for (const MovedLink& m : moved) {
-    if (m.worsened) {
-      any_worsened_ball = true;
-      continue;
-    }
-    const graph::Edge& edge = g.edge(m.e);
-    ImprovedLink link;
-    link.cost = m.new_cost;
-    // Each side of a via-link path has at most max_hops - 1 edges, so the
-    // hop-bounded segment minimum is a valid (and much tighter than
-    // unbounded Dijkstra) lower bound. Rows with no hop bound need the
-    // unbounded minimum.
-    if (unbounded_rows || max_hops_cap == 0) {
-      link.from_a = graph::dijkstra(g, edge.a, inverse_costs_).distance;
-      link.from_b = graph::dijkstra(g, edge.b, inverse_costs_).distance;
-    } else {
-      link.from_a = graph::hop_bounded_min_cost(g, edge.a, inverse_costs_,
-                                                max_hops_cap - 1);
-      link.from_b = graph::hop_bounded_min_cost(g, edge.b, inverse_costs_,
-                                                max_hops_cap - 1);
-    }
-    link.hops_a = graph::bfs_hops(g, edge.a);
-    link.hops_b = graph::bfs_hops(g, edge.b);
-    improved.push_back(std::move(link));
   }
 
   // Hop ball for the fallback rows, lazily: dist to the nearest moved link.
@@ -190,59 +160,125 @@ void ResponseTimeCache::begin_cycle(NetworkState& net) {
     ball_built = true;
   };
 
-  const auto row_survives = [&](graph::NodeId s, const Entry& entry) {
-    if (entry.unit.used_edges.empty()) {
-      // No edge support recorded: conservative hop-ball reachability.
-      if (!ball_built) build_ball();
-      if (dist[s] == graph::kUnreachable) return true;
-      return entry.max_hops != 0 && dist[s] + 1 > entry.max_hops;
-    }
-    if (any_worsened_ball) {
-      for (const MovedLink& m : moved) {
-        if (!m.worsened) continue;
-        if (entry.unit.used_edges[m.e / 64] &
-            (std::uint64_t{1} << (m.e % 64)))
-          return false;
-      }
-    }
-    // Deadband: only a beat by more than the relative epsilon forces a
-    // reprice. scale == 1.0 when the band is off, keeping the test exact.
-    const double scale = 1.0 - reprice_epsilon_;
-    for (const ImprovedLink& link : improved) {
-      const std::vector<double>& trmin = entry.unit.trmin_seconds;
-      const std::uint32_t h = entry.max_hops;
-      const double to_a = link.from_a[s];
-      const double to_b = link.from_b[s];
-      const std::uint32_t sh_a = link.hops_a[s];
-      const std::uint32_t sh_b = link.hops_b[s];
-      for (graph::NodeId v = 0; v < n; ++v) {
-        // A new path via the link needs hops(s, x) + 1 + hops(y, v) edges
-        // at minimum; beyond the row's hop budget it cannot exist at all.
-        const bool a_side_fits =
-            h == 0 || (sh_a != graph::kUnreachable &&
-                       link.hops_b[v] != graph::kUnreachable &&
-                       sh_a + 1 + link.hops_b[v] <= h);
-        const bool b_side_fits =
-            h == 0 || (sh_b != graph::kUnreachable &&
-                       link.hops_a[v] != graph::kUnreachable &&
-                       sh_b + 1 + link.hops_a[v] <= h);
-        if (a_side_fits && to_a + link.cost + link.from_b[v] < trmin[v] * scale)
-          return false;
-        if (b_side_fits && to_b + link.cost + link.from_a[v] < trmin[v] * scale)
-          return false;
-      }
-    }
-    return true;
-  };
-
   std::uint64_t dropped = 0;
+  const auto drop = [&](Entry& entry) {
+    entry.valid = false;
+    ++dropped;
+  };
+  // Rows that still need the improved-link test, in source order.
+  static thread_local std::vector<graph::NodeId> pending;
+  pending.clear();
   for (graph::NodeId s = 0; s < n; ++s) {
     Entry& entry = entries_[s];
     if (!entry.valid) continue;
-    if (!row_survives(s, entry)) {
-      entry.valid = false;
-      ++dropped;
+    const std::vector<std::uint64_t>& used = entry.unit.used_edges;
+    if (used.empty()) {
+      // No edge support recorded: conservative hop-ball reachability.
+      if (!ball_built) build_ball();
+      if (dist[s] != graph::kUnreachable &&
+          (entry.max_hops == 0 || dist[s] + 1 <= entry.max_hops))
+        drop(entry);
+      continue;
     }
+    const bool hits_worsened =
+        std::any_of(moved.begin(), moved.end(), [&](const MovedLink& m) {
+          return m.worsened &&
+                 (used[m.e / 64] & (std::uint64_t{1} << (m.e % 64))) != 0;
+        });
+    if (hits_worsened)
+      drop(entry);
+    else
+      pending.push_back(s);
+  }
+
+  // Per improved link (a, b): segment minima from both endpoints, and BFS
+  // hop counts from both endpoints cut at max_hops_cap - 1 (no row's hop-fit
+  // test can pass beyond that depth). The BFS visit order lists nodes by
+  // nondecreasing hop count, so the first within[k] entries of by_hops are
+  // exactly the nodes at most k hops from the endpoint.
+  struct Endpoint {
+    std::vector<double> cost;            ///< segment cost minima
+    std::vector<std::uint32_t> hops;     ///< cut BFS hop counts
+    std::vector<graph::NodeId> by_hops;  ///< BFS visit order
+    std::vector<std::size_t> within;     ///< prefix ends per hop count
+  };
+  static thread_local Endpoint end_a;
+  static thread_local Endpoint end_b;
+  const std::uint32_t depth = max_hops_cap == 0 ? 0 : max_hops_cap - 1;
+  const auto fill_endpoint = [&](graph::NodeId x, Endpoint& out) {
+    // Each side of a via-link path has at most max_hops - 1 edges, so the
+    // hop-bounded segment minimum is a valid (and much tighter than
+    // unbounded Dijkstra) lower bound. Rows with no hop bound need the
+    // unbounded minimum.
+    if (unbounded_rows || max_hops_cap == 0)
+      out.cost = graph::dijkstra(g, x, inverse_costs_).distance;
+    else
+      graph::hop_bounded_min_cost_into(g, x, inverse_costs_, max_hops_cap - 1,
+                                       out.cost);
+    if (max_hops_cap == 0) return;  // every pending row is unbounded
+    out.hops.assign(n, graph::kUnreachable);
+    out.by_hops.clear();
+    out.within.assign(depth + 1, 0);
+    out.hops[x] = 0;
+    out.by_hops.push_back(x);
+    for (std::size_t head = 0; head < out.by_hops.size(); ++head) {
+      const graph::NodeId node = out.by_hops[head];
+      const std::uint32_t next = out.hops[node] + 1;
+      if (next > depth) continue;
+      for (const graph::Adjacency& adj : g.neighbors(node)) {
+        if (out.hops[adj.neighbor] != graph::kUnreachable) continue;
+        out.hops[adj.neighbor] = next;
+        out.by_hops.push_back(adj.neighbor);
+      }
+    }
+    for (graph::NodeId v : out.by_hops) ++out.within[out.hops[v]];
+    for (std::uint32_t k = 1; k <= depth; ++k)
+      out.within[k] += out.within[k - 1];
+  };
+
+  // Deadband: only a beat by more than the relative epsilon forces a
+  // reprice. scale == 1.0 when the band is off, keeping the test exact.
+  const double scale = 1.0 - reprice_epsilon_;
+  for (const MovedLink& m : moved) {
+    if (m.worsened || pending.empty()) continue;
+    const graph::Edge& edge = g.edge(m.e);
+    fill_endpoint(edge.a, end_a);
+    fill_endpoint(edge.b, end_b);
+    const double cost = m.new_cost;
+    // Does a route s -> near -> far -> v through the link beat a cached
+    // value for some v whose hop count from `far` fits the row's budget?
+    // `near`/`far` are the link's endpoints in either orientation.
+    const auto beats = [&](const std::vector<double>& trmin, graph::NodeId s,
+                           std::uint32_t h, const Endpoint& near,
+                           const Endpoint& far) {
+      const double to_near = near.cost[s];
+      if (h == 0) {
+        for (graph::NodeId v = 0; v < n; ++v)
+          if (to_near + cost + far.cost[v] < trmin[v] * scale) return true;
+        return false;
+      }
+      // A new path via the link needs hops(s, near) + 1 + hops(far, v)
+      // edges at minimum; beyond the row's hop budget it cannot exist.
+      const std::uint32_t sh = near.hops[s];
+      if (sh == graph::kUnreachable || sh + 1 > h) return false;
+      const std::size_t fit = far.within[h - 1 - sh];
+      for (std::size_t i = 0; i < fit; ++i) {
+        const graph::NodeId v = far.by_hops[i];
+        if (to_near + cost + far.cost[v] < trmin[v] * scale) return true;
+      }
+      return false;
+    };
+    std::size_t kept = 0;
+    for (graph::NodeId s : pending) {
+      Entry& entry = entries_[s];
+      const std::vector<double>& trmin = entry.unit.trmin_seconds;
+      if (beats(trmin, s, entry.max_hops, end_a, end_b) ||
+          beats(trmin, s, entry.max_hops, end_b, end_a))
+        drop(entry);
+      else
+        pending[kept++] = s;
+    }
+    pending.resize(kept);
   }
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
   invalidation_counter_->inc(dropped);

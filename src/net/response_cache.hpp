@@ -13,7 +13,14 @@
 //   cost decreased — the row survives unless a route through the link could
 //                    beat some cached value: for link (a, b) at cost c,
 //                    invalidate iff d(s,a) + c + d(b,v) < Trmin[s][v] for
-//                    some v (Dijkstra lower bound on the refreshed costs).
+//                    some v whose route fits the row's hop budget
+//                    (hops(s,a) + 1 + hops(b,v) <= max_hops), both
+//                    orientations. d is the segment minimum on the
+//                    refreshed costs over at most h - 1 edges, h the
+//                    loosest hop bound of any cached row (Dijkstra
+//                    distance when some cached row is unbounded). The scan
+//                    visits only the hop-fitting destinations: they are a
+//                    prefix of the BFS order from the far endpoint.
 //
 // Rows without recorded edge support (kHopBoundedDp) fall back to the
 // conservative hop-ball test — one multi-source BFS from all moved
@@ -59,9 +66,14 @@ class ResponseTimeCache {
 
   /// Sync with the network's links: consume net.dirty_links() (the network is
   /// re-snapshotted), refresh the cached 1/Lu costs for those links, and
-  /// invalidate every cached row whose hop ball touches one. Call once per
-  /// placement cycle, before any row() query. A topology change (different
-  /// node/edge counts) resets the cache wholesale.
+  /// invalidate every cached row a moved link can change by the
+  /// direction-aware tests above (used-edges probe for worsened links,
+  /// hop-fit lower bound for improved ones, hop ball for rows without edge
+  /// support). Call once per placement cycle, before any row() query. A
+  /// topology change (different node/edge counts) resets the cache
+  /// wholesale. Cost: O(rows * worsened links) for the bitmap probes plus,
+  /// per improved link, two endpoint sweeps and BFS passes (O(|E|) each)
+  /// and O(rows still valid * hop-fitting destinations) for the scan.
   void begin_cycle(NetworkState& net);
 
   /// Multiplicative Lu quantization (DESIGN.md §8). With step > 0, link costs

@@ -46,7 +46,7 @@ void min_response_times_into(const NetworkState& net, graph::NodeId source,
     std::size_t rounds = 0;
     graph::shared_frontier_labels_into(net.graph(), source, inverse_costs,
                                        options.max_hops, out.trmin_seconds,
-                                       out.used_edges, &rounds);
+                                       &out.used_edges, &rounds);
     for (graph::NodeId v = 0; v < net.node_count(); ++v)
       if (v != source && out.trmin_seconds[v] != graph::kInfiniteCost)
         out.trmin_seconds[v] *= data_mb;

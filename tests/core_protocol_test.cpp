@@ -434,5 +434,24 @@ TEST(Protocol, IncrementalPlacementMatchesProtocolFlow) {
   EXPECT_EQ(mismatches->value, 0u);
 }
 
+// The cache-sync stage (Trmin cache begin_cycle) is timed live under its
+// own histogram, once per incremental placement cycle, so a slow cycle in a
+// running fleet splits into sync / build / solve without a profiler.
+TEST(Protocol, IncrementalCycleTimesCacheSync) {
+  ManagerConfig config = Harness::fast_config();
+  config.incremental_placement = true;
+  Harness h(4, config);
+  obs::MetricRegistry::global().reset();
+  for (int i = 0; i < 3; ++i) h.manager->run_placement_cycle();
+  const obs::RegistrySnapshot scrape = obs::MetricRegistry::global().snapshot();
+  const auto* sync_ms =
+      scrape.find_histogram("dust_core_placement_cache_sync_ms");
+  ASSERT_NE(sync_ms, nullptr);
+  EXPECT_EQ(sync_ms->count, 3u);
+  const auto* build_ms = scrape.find_histogram("dust_core_placement_build_ms");
+  ASSERT_NE(build_ms, nullptr);
+  EXPECT_EQ(build_ms->count, sync_ms->count);
+}
+
 }  // namespace
 }  // namespace dust::core

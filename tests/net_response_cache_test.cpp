@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -223,6 +224,62 @@ TEST(ResponseTimeCache, RepriceEpsilonKeepsRowsThroughSmallImprovements) {
   cache.begin_cycle(net);
   (void)cache.row(net, 0, 1.0, opt);
   EXPECT_EQ(cache.stats().misses, misses_before + 1);
+}
+
+// Invalidation decisions pinned under the production deadband settings
+// (Lu quantum 0.5, reprice epsilon 0.10, link epsilon 0.05). The epsilon-0
+// equivalence tests above only prove that no stale row is served; they
+// cannot see a cache that drops more rows than it has to. Here the count of
+// rows dropped per cycle and a digest of every served row were recorded
+// from the reference invalidation scan, so an over- or under-inclusive
+// hop-fit test on improved links shows up as a changed count. Sources mix
+// shared-frontier rows at max_hops 2/3/4 with one hop-bounded-DP row (the
+// hop-ball fallback); the unbounded rows join halfway, switching the
+// endpoint bounds from hop-bounded minima to Dijkstra distances.
+TEST(ResponseTimeCache, InvalidationDecisionsPinnedUnderDeadband) {
+  util::Rng rng(515);
+  NetworkState net = fat_tree_net(8, rng);
+  net.set_link_epsilon(0.05);
+  ResponseTimeCache cache;
+  cache.set_lu_quantum(0.5);
+  cache.set_reprice_epsilon(0.10);
+  const auto options_for = [](graph::NodeId s) {
+    if (s == 5) return ResponseTimeOptions{2, EvaluatorMode::kHopBoundedDp, 0};
+    const std::uint32_t hops[] = {2, 3, 4, 0};
+    return ResponseTimeOptions{hops[s % 4], EvaluatorMode::kSharedFrontier, 0};
+  };
+  std::vector<std::uint64_t> invalidations;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  ResponseTimeResult row;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    if (cycle > 0) {
+      for (graph::EdgeId e = 0; e < net.edge_count(); ++e) {
+        if (rng.below(10) != 0) continue;  // ~10% of links drift
+        LinkState state = net.link(e);
+        state.utilization =
+            std::clamp(state.utilization * rng.uniform(0.94, 1.06), 0.05, 1.0);
+        net.set_link(e, state);
+      }
+    }
+    const std::uint64_t before = cache.stats().invalidations;
+    cache.begin_cycle(net);
+    invalidations.push_back(cache.stats().invalidations - before);
+    for (graph::NodeId s = 0; s < net.node_count(); ++s) {
+      const ResponseTimeOptions opt = options_for(s);
+      if (opt.max_hops == 0 && cycle < 20) continue;
+      cache.row_into(net, s, 1.0 + static_cast<double>(s % 7), opt, row);
+      for (double t : row.trmin_seconds) {
+        digest ^= std::bit_cast<std::uint64_t>(t);
+        digest *= 0x100000001b3ULL;
+      }
+    }
+  }
+  const std::vector<std::uint64_t> pinned = {
+      0, 0,  0,  0,  0, 0,  0,  0,  0,  0,  8,  22, 4, 0,  11, 10, 9, 14, 9, 13,
+      0, 37, 48, 46, 0, 0,  26, 14, 33, 0,  38, 0,  10, 22, 41, 40, 0, 7,  9, 0};
+  EXPECT_EQ(invalidations, pinned);
+  EXPECT_EQ(digest, 0x23b8cb5cbf21a2cbULL) << std::hex << "0x" << digest;
+  EXPECT_EQ(cache.stats().bypasses, 0u);
 }
 
 TEST(NetworkStateDirtyTracking, VersionAndSnapshotSemantics) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "graph/topology.hpp"
@@ -209,6 +211,82 @@ TEST(HopBoundedMinCost, ZeroMeansUnbounded) {
   EXPECT_DOUBLE_EQ(dp[4], 4.0);
   const auto bounded = hop_bounded_min_cost(g, 0, cost, 3);
   EXPECT_EQ(bounded[4], kInfiniteCost);
+}
+
+// Dense layered Bellman-Ford over walks of at most `max_hops` edges: every
+// reached node is re-expanded at every layer. The sparse shared-frontier
+// sweep must reproduce its labels bit for bit.
+std::vector<double> dense_layered_min_cost(const Graph& g, NodeId src,
+                                           const std::vector<double>& cost,
+                                           std::uint32_t max_hops) {
+  const std::size_t n = g.node_count();
+  const std::uint32_t bound =
+      max_hops == 0 ? static_cast<std::uint32_t>(n) - 1 : max_hops;
+  std::vector<double> best(n, kInfiniteCost);
+  std::vector<double> frontier(n, kInfiniteCost);
+  std::vector<double> next(n);
+  best[src] = frontier[src] = 0.0;
+  for (std::uint32_t hop = 0; hop < bound; ++hop) {
+    std::fill(next.begin(), next.end(), kInfiniteCost);
+    for (NodeId node = 0; node < n; ++node) {
+      if (frontier[node] == kInfiniteCost) continue;
+      for (const Adjacency& adj : g.neighbors(node))
+        next[adj.neighbor] =
+            std::min(next[adj.neighbor], frontier[node] + cost[adj.edge]);
+    }
+    bool improved = false;
+    for (NodeId node = 0; node < n; ++node) {
+      if (next[node] < best[node]) {
+        best[node] = next[node];
+        improved = true;
+      }
+    }
+    frontier.swap(next);
+    if (!improved) break;
+  }
+  return best;
+}
+
+// Tie-breaking pin for the shared-frontier sweep. With costs drawn from six
+// dyadic values every path sum is exact, so equal-cost routes tie all over
+// the fat-tree and which one lands in used_edges depends only on the order
+// the sweep relaxes edges in. The digest (labels, used_edges words, rounds
+// for every source and hop bound) was recorded from the sweep that expands
+// each layer's frontier in first-touch order; any change to that order
+// changes the recorded edge support, the cache decisions built on it, and
+// with them the placements.
+TEST(HopBoundedMinCost, SharedFrontierPinnedOnQuantizedFatTree) {
+  const FatTree ft(8);
+  const Graph& g = ft.graph();
+  util::Rng rng(2024);
+  const double levels[] = {0.25, 0.5, 0.75, 1.0, 1.5, 2.0};
+  std::vector<double> cost(g.edge_count());
+  for (double& c : cost) c = levels[rng.below(6)];
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  const auto mix = [&h](std::uint64_t word) {
+    h ^= word;
+    h *= 0x100000001b3ULL;
+  };
+  std::vector<double> best;
+  std::vector<std::uint64_t> used;
+  for (std::uint32_t max_hops : {1u, 2u, 3u, 4u, 0u}) {
+    for (NodeId src = 0; src < g.node_count(); ++src) {
+      std::size_t rounds = 0;
+      shared_frontier_labels_into(g, src, cost, max_hops, best, &used, &rounds);
+      const std::vector<double> dense =
+          dense_layered_min_cost(g, src, cost, max_hops);
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(best[v]),
+                  std::bit_cast<std::uint64_t>(dense[v]))
+            << "src " << src << " node " << v << " hops " << max_hops;
+        mix(std::bit_cast<std::uint64_t>(best[v]));
+      }
+      ASSERT_EQ(used.size(), (g.edge_count() + 63) / 64);
+      for (std::uint64_t word : used) mix(word);
+      mix(rounds);
+    }
+  }
+  EXPECT_EQ(h, 0x04f7bf70061208d5ULL) << std::hex << "0x" << h;
 }
 
 class RandomGraphSweep : public ::testing::TestWithParam<std::uint64_t> {};
