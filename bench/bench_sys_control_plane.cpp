@@ -3,6 +3,10 @@
 // placement-cycle latency, and convergence time from busy detection to
 // acknowledged offload. These are the operational numbers a deployment
 // would watch.
+//
+// Output: the table plus BENCH_control_plane.json (dust-bench-v1). The
+// message counts and the busy -> acked time are sim-time quantities, a pure
+// function of the seed; only the cycle wall times depend on the host.
 #include <iostream>
 #include <memory>
 
@@ -73,19 +77,36 @@ int main() {
     cycle_wall.add(timer.millis());
   }
 
+  const double msgs_per_node_minute =
+      static_cast<double>(steady_msgs) / (10.0 * n);
+  const double busy_to_acked_ms =
+      acked_at >= 0 ? static_cast<double>(acked_at - busy_at) : -1.0;
+
   util::Table table("control-plane characteristics");
   table.set_precision(2).header({"metric", "value"});
   table.row({std::string("steady-state msgs/node/minute"),
-             static_cast<double>(steady_msgs) / (10.0 * n)});
+             msgs_per_node_minute});
   table.row({std::string("transport deliveries"),
              static_cast<std::int64_t>(transport.delivered())});
-  table.row({std::string("busy -> acked offload (sim ms)"),
-             acked_at >= 0 ? static_cast<double>(acked_at - busy_at) : -1.0});
+  table.row({std::string("busy -> acked offload (sim ms)"), busy_to_acked_ms});
   table.row({std::string("placement cycle wall time (ms, mean)"),
              cycle_wall.mean()});
   table.row({std::string("placement cycle wall time (ms, max)"),
              cycle_wall.max()});
   bench::emit(table);
+
+  bench::JsonReport report("control_plane");
+  report.set_topology(n, topo.graph().edge_count());
+  const std::string run_config = "topology=fat-tree-4,stat_ms=10000,"
+                                 "placement_period_ms=60000";
+  report.add("steady_msgs_per_node_minute", msgs_per_node_minute,
+             "msgs/node/min", run_config);
+  report.add("transport_deliveries",
+             static_cast<double>(transport.delivered()), "count", run_config);
+  report.add("busy_to_acked_sim_ms", busy_to_acked_ms, "sim-ms", run_config);
+  report.add("cycle_wall_ms_mean", cycle_wall.mean(), "ms", run_config);
+  report.add("cycle_wall_ms_max", cycle_wall.max(), "ms", run_config);
+  report.write();
 
   std::cout << "\nexpectation: a few control messages per node per minute; "
                "convergence within one placement period (60 s sim time)\n";

@@ -30,11 +30,11 @@
 
 #include "bench_common.hpp"
 #include "core/client.hpp"
+#include "core/transport.hpp"
 #include "federation/federated_manager.hpp"
 #include "federation/partition.hpp"
 #include "graph/topology.hpp"
 #include "net/network_state.hpp"
-#include "sim/transport.hpp"
 #include "util/table.hpp"
 
 namespace dust::bench {

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "core/client.hpp"
+#include "core/transport.hpp"
 #include "obs/flight_recorder.hpp"
-#include "sim/transport.hpp"
 #include "util/rng.hpp"
 
 namespace dust::check {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/nmdb.hpp"
-#include "sim/transport.hpp"
+#include "core/transport.hpp"
 
 namespace dust::check {
 

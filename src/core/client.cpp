@@ -43,8 +43,7 @@ void DustClient::start() {
   metrics_.tx_offload_capable->inc();
   transport_->send(client_endpoint(node_), config_.manager,
                    Message{OffloadCapableMsg{node_, config_.offload_capable,
-                                             config_.platform_factor}},
-                   sim::Priority::kNormal, "offload_capable");
+                                             config_.platform_factor}});
 }
 
 void DustClient::rehome() {
@@ -52,8 +51,7 @@ void DustClient::rehome() {
   metrics_.tx_offload_capable->inc();
   transport_->send(client_endpoint(node_), config_.manager,
                    Message{OffloadCapableMsg{node_, config_.offload_capable,
-                                             config_.platform_factor}},
-                   sim::Priority::kNormal, "offload_capable");
+                                             config_.platform_factor}});
   if (acknowledged_) send_stat();
 }
 
@@ -88,8 +86,7 @@ void DustClient::set_byzantine(const ByzantineBehavior& behavior) {
         transport_->send(
             client_endpoint(node_), config_.manager,
             Message{OffloadCapableMsg{node_, config_.offload_capable,
-                                      config_.platform_factor}},
-            sim::Priority::kNormal, "offload_capable");
+                                      config_.platform_factor}});
       });
 }
 
@@ -131,18 +128,16 @@ void DustClient::send_stat() {
   stat.trace = obs::enabled() ? obs::new_trace() : obs::TraceContext{};
   metrics_.tx_stat->inc();
   transport_->send(client_endpoint(node_), config_.manager, Message{stat},
-                   sim::Priority::kNormal, "stat", stat.trace.trace_id);
+                   stat.trace.trace_id);
 }
 
 void DustClient::publish_snapshot(const telemetry::DeviceSnapshot& snapshot) {
   if (failed_) return;
   for (const OutboundOffload& outbound : outbound_) {
     metrics_.tx_telemetry_data->inc();
-    Message message{TelemetryDataMsg{node_, snapshot}};
-    const sim::Priority priority = message_priority(message);
     transport_->send(client_endpoint(node_),
                      client_endpoint(outbound.destination),
-                     std::move(message), priority, "telemetry_data");
+                     Message{TelemetryDataMsg{node_, snapshot}});
   }
 }
 
@@ -178,11 +173,6 @@ std::vector<graph::NodeId> DustClient::hosting_destinations() const {
 
 void DustClient::handle(const sim::Envelope& envelope) {
   if (failed_) return;
-  const Message* message = std::any_cast<Message>(&envelope.payload);
-  if (message == nullptr) {
-    DUST_LOG_WARN << "client " << node_ << ": non-protocol payload";
-    return;
-  }
   std::visit(
       [this](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -202,7 +192,7 @@ void DustClient::handle(const sim::Envelope& envelope) {
           DUST_LOG_WARN << "client " << node_ << ": unexpected message";
         }
       },
-      *message);
+      envelope.message);
 }
 
 void DustClient::on_ack(const AckMsg& msg) {
@@ -230,7 +220,7 @@ void DustClient::on_offload_request(const OffloadRequestMsg& msg) {
   metrics_.tx_offload_ack->inc();
   transport_->send(client_endpoint(node_), config_.manager,
                    Message{OffloadAckMsg{msg.request_id, node_, true, ack_ctx}},
-                   sim::Priority::kNormal, "offload_ack", ack_ctx.trace_id);
+                   ack_ctx.trace_id);
   if (duplicate) return;
   // Move agents off the device (or synthesize blueprints when device-less).
   AgentTransferMsg transfer;
@@ -262,8 +252,7 @@ void DustClient::on_offload_request(const OffloadRequestMsg& msg) {
   metrics_.tx_agent_transfer->inc();
   const std::uint64_t transfer_trace = transfer.trace.trace_id;
   transport_->send(client_endpoint(node_), client_endpoint(msg.destination),
-                   Message{std::move(transfer)}, sim::Priority::kNormal,
-                   "agent_transfer", transfer_trace);
+                   Message{std::move(transfer)}, transfer_trace);
 }
 
 void DustClient::on_agent_transfer(const AgentTransferMsg& msg) {
@@ -306,11 +295,10 @@ void DustClient::on_rep(const RepMsg& msg) {
   metrics_.tx_agent_transfer->inc();
   transport_->send(client_endpoint(node_), config_.manager,
                    Message{OffloadAckMsg{msg.request_id, node_, true, ack_ctx}},
-                   sim::Priority::kNormal, "offload_ack", ack_ctx.trace_id);
+                   ack_ctx.trace_id);
   const std::uint64_t transfer_trace = transfer.trace.trace_id;
   transport_->send(client_endpoint(node_), client_endpoint(msg.replacement),
-                   Message{std::move(transfer)}, sim::Priority::kNormal,
-                   "agent_transfer", transfer_trace);
+                   Message{std::move(transfer)}, transfer_trace);
 }
 
 void DustClient::on_release(const ReleaseMsg& msg) {
@@ -349,8 +337,7 @@ void DustClient::ensure_keepalive_task() {
         ++keepalives_sent_;
         metrics_.tx_keepalive->inc();
         transport_->send(client_endpoint(node_), config_.manager,
-                         Message{KeepaliveMsg{node_, keepalive_seq_++}},
-                         sim::Priority::kNormal, "keepalive");
+                         Message{KeepaliveMsg{node_, keepalive_seq_++}});
       });
 }
 

@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "core/messages.hpp"
+#include "core/transport.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/node.hpp"
-#include "sim/transport.hpp"
 #include "util/rng.hpp"
 
 namespace dust::core {

@@ -102,11 +102,6 @@ void DustManager::stop() {
 }
 
 void DustManager::handle(const sim::Envelope& envelope) {
-  const Message* message = std::any_cast<Message>(&envelope.payload);
-  if (message == nullptr) {
-    DUST_LOG_WARN << "manager: non-protocol payload from " << envelope.from;
-    return;
-  }
   std::visit(
       [this](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -127,7 +122,7 @@ void DustManager::handle(const sim::Envelope& envelope) {
           DUST_LOG_WARN << "manager: unexpected message type";
         }
       },
-      *message);
+      envelope.message);
 }
 
 void DustManager::on_offload_capable(const OffloadCapableMsg& msg) {
@@ -137,8 +132,7 @@ void DustManager::on_offload_capable(const OffloadCapableMsg& msg) {
   if (msg.capable) {
     metrics_.tx_ack->inc();
     transport_->send(config_.endpoint, client_endpoint(msg.node),
-                     Message{AckMsg{msg.node, config_.update_interval_ms}},
-                     sim::Priority::kNormal, "ack");
+                     Message{AckMsg{msg.node, config_.update_interval_ms}});
   }
 }
 
@@ -377,11 +371,9 @@ std::size_t DustManager::run_placement_cycle() {
     request.route = routes[index].primary.nodes;
     metrics_.tx_offload_request->inc(2);
     transport_->send(config_.endpoint, client_endpoint(assignment.from),
-                     Message{request}, sim::Priority::kNormal,
-                     "offload_request", request_ctx.trace_id);
+                     Message{request}, request_ctx.trace_id);
     transport_->send(config_.endpoint, client_endpoint(assignment.to),
-                     Message{request}, sim::Priority::kNormal,
-                     "offload_request", request_ctx.trace_id);
+                     Message{request}, request_ctx.trace_id);
     ++created;
   }
   metrics_.offloads_created->inc(created);
@@ -412,11 +404,9 @@ void DustManager::release_offloads_of(graph::NodeId busy) {
                     offload.amount, "req " + std::to_string(id));
     transport_->send(config_.endpoint, client_endpoint(busy),
                      Message{ReleaseMsg{busy, offload.destination}},
-                     sim::Priority::kNormal, "release",
                      release_ctx.trace_id);
     transport_->send(config_.endpoint, client_endpoint(offload.destination),
                      Message{ReleaseMsg{busy, offload.destination}},
-                     sim::Priority::kNormal, "release",
                      release_ctx.trace_id);
     to_erase.push_back(id);
   }
@@ -465,12 +455,10 @@ void DustManager::check_keepalives() {
                                   offload.trace};
         metrics_.tx_offload_request->inc(2);
         transport_->send(config_.endpoint, client_endpoint(offload.busy),
-                         Message{request}, sim::Priority::kNormal,
-                         "offload_request", offload.trace.trace_id);
+                         Message{request}, offload.trace.trace_id);
         transport_->send(config_.endpoint,
                          client_endpoint(offload.destination),
-                         Message{request}, sim::Priority::kNormal,
-                         "offload_request", offload.trace.trace_id);
+                         Message{request}, offload.trace.trace_id);
       }
       continue;  // transfer still in flight
     }
@@ -575,7 +563,6 @@ void DustManager::replace_destination(graph::NodeId failed, bool quarantine) {
       metrics_.releases->inc();
       transport_->send(config_.endpoint, client_endpoint(offload.busy),
                        Message{ReleaseMsg{offload.busy, failed}},
-                       sim::Priority::kNormal, "release",
                        offload.trace.trace_id);
       continue;
     }
@@ -588,7 +575,6 @@ void DustManager::replace_destination(graph::NodeId failed, bool quarantine) {
     metrics_.tx_release->inc();
     transport_->send(config_.endpoint, client_endpoint(failed),
                      Message{ReleaseMsg{offload.busy, failed}},
-                     sim::Priority::kNormal, "release",
                      offload.trace.trace_id);
   }
   for (std::uint64_t id : to_erase) offloads_.erase(id);
@@ -660,7 +646,7 @@ void DustManager::replace_destination(graph::NodeId failed, bool quarantine) {
         config_.endpoint, client_endpoint(old.busy),
         Message{RepMsg{failed, best, old.busy, replacement.request_id,
                        old.amount, rep_ctx}},
-        sim::Priority::kNormal, "rep", rep_ctx.trace_id);
+        rep_ctx.trace_id);
   }
 }
 
@@ -696,7 +682,6 @@ std::uint64_t DustManager::create_delegated_offload(graph::NodeId busy,
                             request_ctx};
   metrics_.tx_offload_request->inc();
   transport_->send(config_.endpoint, client_endpoint(busy), Message{request},
-                   sim::Priority::kNormal, "offload_request",
                    request_ctx.trace_id);
   return offload.request_id;
 }

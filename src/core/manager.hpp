@@ -16,9 +16,9 @@
 #include "core/messages.hpp"
 #include "core/nmdb.hpp"
 #include "core/optimizer.hpp"
+#include "core/transport.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/transport.hpp"
 
 namespace dust::core {
 

@@ -127,9 +127,8 @@ using Message =
 
 /// Canonical QoS class of a protocol message (§III-C): offloaded monitoring
 /// data (TelemetryDataMsg) rides kLow and is discardable under congestion;
-/// every control-plane message rides kNormal. The single source of truth for
-/// send sites and wire transports, so a payload's priority can never
-/// silently default back to kNormal on one path but not another.
+/// every control-plane message rides kNormal. The transports and
+/// wire::message_frame derive a send's priority from this alone.
 [[nodiscard]] sim::Priority message_priority(const Message& message);
 
 /// Short flight-recorder / wire label of a message ("stat",

@@ -44,11 +44,10 @@
 #include "telemetry/sampled_flow.hpp"
 #include "telemetry/tsdb.hpp"
 
-// sim — discrete-event simulator, transport, device model, traffic.
+// sim — discrete-event simulator, device model, traffic.
 #include "sim/event_queue.hpp"
 #include "sim/node.hpp"
 #include "sim/overlay_traffic.hpp"
-#include "sim/transport.hpp"
 
 // core — the DUST system: NMDB, placement, optimizer, heuristic, protocol.
 #include "core/baselines.hpp"
@@ -64,5 +63,6 @@
 #include "core/replay.hpp"
 #include "core/routes.hpp"
 #include "core/scenario.hpp"
+#include "core/transport.hpp"
 #include "core/types.hpp"
 #include "core/zones.hpp"

@@ -46,10 +46,10 @@
 #include <vector>
 
 #include "core/manager.hpp"
+#include "core/transport.hpp"
 #include "federation/partition.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/transport.hpp"
 #include "wire/codec.hpp"
 
 namespace dust::federation {

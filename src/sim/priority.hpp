@@ -1,6 +1,6 @@
 // QoS priority classes of the DUST control plane (§III-C).
 //
-// Split out of sim/transport.hpp so headers that only need to *name* a
+// Kept apart from core/transport.hpp so headers that only need to *name* a
 // priority (core/messages.hpp, wire/codec.hpp) don't pull in the simulator,
 // RNG, and metrics machinery the full transport header depends on.
 #pragma once

@@ -652,15 +652,14 @@ const char* to_string(DecodeStatus status) noexcept {
 }
 
 Frame message_frame(std::string from, std::string to, core::Message message,
-                    sim::Priority priority, std::string kind,
                     std::uint64_t trace_id) {
   Frame frame;
   frame.type = frame_type_of(message);
-  frame.priority = priority;
+  frame.priority = core::message_priority(message);
   frame.trace_id = trace_id;
   frame.from = std::move(from);
   frame.to = std::move(to);
-  frame.kind = std::move(kind);
+  frame.kind = core::message_kind(message);
   frame.message = std::move(message);
   return frame;
 }

@@ -244,9 +244,8 @@ struct DomainHandoffBody {
   std::string endpoint;  ///< new owner's federation endpoint name
 };
 
-/// One frame, decoded (or about to be encoded). Exactly the information a
-/// sim::Envelope carries, plus the frame type: nothing QoS- or
-/// trace-relevant is lost crossing the wire.
+/// One frame, decoded (or about to be encoded): a sim::Envelope's content
+/// plus the type, priority and kind header fields, coded verbatim.
 struct Frame {
   FrameType type = FrameType::kAnnounce;
   sim::Priority priority = sim::Priority::kNormal;
@@ -267,12 +266,10 @@ struct Frame {
   DomainHandoffBody domain_handoff;      ///< valid for kDomainHandoff
 };
 
-/// Build a protocol frame around `message` (type tag derived from the
-/// active alternative).
+/// Build a protocol frame around `message`; the type tag, priority and kind
+/// are derived from it (core::message_priority, core::message_kind).
 [[nodiscard]] Frame message_frame(std::string from, std::string to,
                                   core::Message message,
-                                  sim::Priority priority,
-                                  std::string kind = {},
                                   std::uint64_t trace_id = 0);
 
 [[nodiscard]] Frame announce_frame(std::vector<std::string> endpoints);

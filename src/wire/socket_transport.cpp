@@ -323,23 +323,16 @@ bool SocketTransport::enqueue(Peer& peer, TxFrame frame,
 }
 
 void SocketTransport::send(const std::string& from, const std::string& to,
-                           std::any payload, sim::Priority priority,
-                           std::string kind, std::uint64_t trace_id) {
-  core::Message* message = std::any_cast<core::Message>(&payload);
-  if (message == nullptr) {
-    DUST_LOG_WARN << "wire: send() payload is not a core::Message, dropping";
-    ++dropped_;
-    metrics_.dropped->inc();
-    return;
-  }
+                           core::Message message, std::uint64_t trace_id) {
   ++frames_sent_;
   metrics_.tx_frames->inc();
+  const std::string kind = core::message_kind(message);
   record_hop(obs::FlightEventKind::kMessageTx, kind, from, to, trace_id);
   if (local_endpoints_.count(to) > 0) {
     // Same-process endpoint: no codec round trip, but identical delivery
     // semantics (queued, dispatched from poll_once like a received frame).
-    local_queue_.push_back(sim::Envelope{from, to, std::move(*message),
-                                         priority, std::move(kind), trace_id});
+    local_queue_.push_back(
+        sim::Envelope{from, to, std::move(message), trace_id});
     return;
   }
   Peer* peer = nullptr;
@@ -348,18 +341,15 @@ void SocketTransport::send(const std::string& from, const std::string& to,
   } else {
     peer = route_of(to);
     if (peer == nullptr) {
-      Frame context;
-      context.kind = kind;
-      context.from = from;
-      context.to = to;
-      context.trace_id = trace_id;
-      drop_frame(context, "no_endpoint", metrics_.dropped_no_endpoint);
+      drop_frame(message_frame(from, to, std::move(message), trace_id),
+                 "no_endpoint", metrics_.dropped_no_endpoint);
       return;
     }
   }
+  const sim::Priority priority = core::message_priority(message);
   const std::int64_t start_us = steady_us();
-  std::vector<std::uint8_t> bytes = encode_frame(
-      message_frame(from, to, std::move(*message), priority, kind, trace_id));
+  std::vector<std::uint8_t> bytes =
+      encode_frame(message_frame(from, to, std::move(message), trace_id));
   metrics_.encode_us->observe(static_cast<double>(steady_us() - start_us));
   enqueue(*peer, TxFrame{std::move(bytes), {}, {}}, priority, kind, from, to,
           trace_id);
@@ -536,9 +526,9 @@ bool SocketTransport::handle_frame(Peer& peer, DecodeResult decoded) {
       fed_queue_.push_back(std::move(frame));
       return true;
     }
-    local_queue_.push_back(sim::Envelope{
-        std::move(frame.from), std::move(frame.to), std::move(frame.message),
-        frame.priority, std::move(frame.kind), frame.trace_id});
+    local_queue_.push_back(
+        sim::Envelope{std::move(frame.from), std::move(frame.to),
+                      std::move(frame.message), frame.trace_id});
     return true;
   }
   if (config_.role == SocketTransportConfig::Role::kHub) {
@@ -766,12 +756,9 @@ std::size_t SocketTransport::poll_once(int timeout_ms) {
     local_queue_.pop_front();
     auto it = local_endpoints_.find(envelope.to);
     if (it == local_endpoints_.end()) {
-      Frame context;
-      context.kind = envelope.kind;
-      context.from = envelope.from;
-      context.to = envelope.to;
-      context.trace_id = envelope.trace_id;
-      drop_frame(context, "no_endpoint", metrics_.dropped_no_endpoint);
+      drop_frame(message_frame(std::move(envelope.from), std::move(envelope.to),
+                               std::move(envelope.message), envelope.trace_id),
+                 "no_endpoint", metrics_.dropped_no_endpoint);
       continue;
     }
     ++delivered;

@@ -31,10 +31,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/transport.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/transport.hpp"
 #include "wire/codec.hpp"
 
 namespace dust::wire {
@@ -99,10 +99,9 @@ class SocketTransport final : public sim::TransportBase {
   [[nodiscard]] bool has_endpoint(const std::string& name) const override;
   /// Local destinations dispatch on the next poll_once; remote destinations
   /// are framed and queued on the owning connection (leaf: the hub link,
-  /// queued across reconnects). Payload must hold a core::Message.
-  void send(const std::string& from, const std::string& to, std::any payload,
-            sim::Priority priority = sim::Priority::kNormal,
-            std::string kind = {}, std::uint64_t trace_id = 0) override;
+  /// queued across reconnects) in the message's QoS class.
+  void send(const std::string& from, const std::string& to,
+            core::Message message, std::uint64_t trace_id = 0) override;
 
   // --- event loop -----------------------------------------------------------
   /// Pump the loop once: poll sockets up to `timeout_ms` (0 = non-blocking),

@@ -1,12 +1,9 @@
-// Pins the §III-C QoS invariant at the transport boundary: every Envelope a
-// protocol state machine sends carries exactly message_priority(payload) and
-// message_kind(payload). The wrapper below sees each send before the
-// simulator does, so a state machine that hand-rolls its own priority (the
-// historical Release bug: kLow control traffic) fails here by name.
+// Pins the §III-C QoS invariant over a full protocol run: priority is a
+// function of the message, so the transport's kLow count must equal the
+// number of TelemetryData sends (the historical Release bug sent control
+// traffic at kLow), and the run must cover all ten message kinds.
 #include <gtest/gtest.h>
 
-#include <any>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,59 +11,20 @@
 #include "core/client.hpp"
 #include "core/manager.hpp"
 #include "graph/topology.hpp"
+#include "obs/metrics.hpp"
 #include "telemetry/agent.hpp"
 
 namespace dust::core {
 namespace {
 
-class PriorityAuditTransport : public sim::TransportBase {
- public:
-  explicit PriorityAuditTransport(sim::Transport& inner) : inner_(inner) {}
-
-  std::uint64_t register_endpoint(const std::string& name,
-                                  Handler handler) override {
-    return inner_.register_endpoint(name, std::move(handler));
-  }
-  void unregister_endpoint(const std::string& name,
-                           std::uint64_t token) override {
-    inner_.unregister_endpoint(name, token);
-  }
-  [[nodiscard]] bool has_endpoint(const std::string& name) const override {
-    return inner_.has_endpoint(name);
-  }
-
-  void send(const std::string& from, const std::string& to, std::any payload,
-            sim::Priority priority, std::string kind,
-            std::uint64_t trace_id) override {
-    const auto* message = std::any_cast<Message>(&payload);
-    ASSERT_NE(message, nullptr) << "non-Message payload from " << from;
-    const char* expected_kind = message_kind(*message);
-    EXPECT_EQ(priority, message_priority(*message))
-        << expected_kind << " sent " << from << " -> " << to
-        << " with a priority that disagrees with message_priority()";
-    EXPECT_EQ(kind, expected_kind)
-        << "envelope kind mislabelled for " << expected_kind;
-    ++kinds_seen_[expected_kind];
-    inner_.send(from, to, std::move(payload), priority, std::move(kind),
-                trace_id);
-  }
-
-  [[nodiscard]] const std::map<std::string, std::size_t>& kinds_seen() const {
-    return kinds_seen_;
-  }
-
- private:
-  sim::Transport& inner_;
-  std::map<std::string, std::size_t> kinds_seen_;
-};
-
 // One run that exercises every message type of the §III-B flow: handshake,
 // STATs, placement (request/ack/transfer), telemetry, keepalives, a
 // destination death (REP), and a load drop (Release).
 TEST(MessagePriority, EveryEnvelopeMatchesMessagePriorityAndKind) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  registry.reset();
   sim::Simulator sim;
-  sim::Transport raw(sim, util::Rng(7));
-  PriorityAuditTransport transport(raw);
+  sim::Transport transport(sim, util::Rng(7));
 
   net::NetworkState state(graph::make_ring(5));
   for (graph::NodeId v = 0; v < 5; ++v) {
@@ -111,12 +69,23 @@ TEST(MessagePriority, EveryEnvelopeMatchesMessagePriorityAndKind) {
   EXPECT_GE(manager.releases(), 1u);
 
   // The run must actually have exercised the whole §III-B vocabulary —
-  // otherwise the audit above proved nothing about the missing kinds.
+  // otherwise the kLow count below proves nothing about the missing kinds.
+  // Every send site bumps dust_core_tx_<kind>_total once per message.
+  std::uint64_t tallied = 0;
   for (const char* kind :
        {"offload_capable", "ack", "stat", "offload_request", "offload_ack",
-        "agent_transfer", "telemetry_data", "keepalive", "rep", "release"})
-    EXPECT_TRUE(transport.kinds_seen().contains(kind))
-        << "flow never sent a " << kind << " message";
+        "agent_transfer", "telemetry_data", "keepalive", "rep", "release"}) {
+    const std::uint64_t sent =
+        registry.counter(std::string("dust_core_tx_") + kind + "_total")
+            .value();
+    EXPECT_GT(sent, 0u) << "flow never sent a " << kind << " message";
+    tallied += sent;
+  }
+  EXPECT_EQ(tallied, transport.sent());
+
+  // Exactly the TelemetryData sends rode kLow: no control message did.
+  EXPECT_EQ(registry.counter("dust_sim_transport_sent_low_total").value(),
+            registry.counter("dust_core_tx_telemetry_data_total").value());
 }
 
 }  // namespace

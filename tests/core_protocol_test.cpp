@@ -230,11 +230,17 @@ TEST(Protocol, TelemetryDataRidesLowPriority) {
   EXPECT_EQ(h.manager->keepalive_failures(), 0u);
 }
 
+// Garbage for a manager is a client-bound message: counted, then ignored.
 TEST(Protocol, ManagerIgnoresGarbagePayload) {
   Harness h(3);
   h.start_all();
-  h.transport.send("stranger", manager_endpoint(), std::string("not-a-message"));
-  h.sim.run_until(100);  // must not crash
+  const obs::Counter& unexpected =
+      obs::MetricRegistry::global().counter("dust_core_rx_unexpected_total");
+  const std::uint64_t unexpected_before = unexpected.value();
+  h.transport.send("stranger", manager_endpoint(),
+                   AgentTransferMsg{1, 0, {}, {}});
+  h.sim.run_until(100);
+  EXPECT_EQ(unexpected.value(), unexpected_before + 1);
   EXPECT_EQ(h.manager->active_offload_count(), 0u);
 }
 

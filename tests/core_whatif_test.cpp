@@ -124,7 +124,7 @@ TEST(TransportTokens, StaleTokenCannotUnregisterSuccessor) {
       "shared", [&second_hits](const sim::Envelope&) { ++second_hits; });
   transport.unregister_endpoint("shared", first);  // stale: must be a no-op
   EXPECT_TRUE(transport.has_endpoint("shared"));
-  transport.send("x", "shared", 1);
+  transport.send("x", "shared", KeepaliveMsg{});
   sim.run();
   EXPECT_EQ(first_hits, 0);
   EXPECT_EQ(second_hits, 1);

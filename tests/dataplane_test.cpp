@@ -4,16 +4,15 @@
 // the Cs feedback hook into STAT, and the seeded dust::check audit.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "check/dataplane_check.hpp"
 #include "core/client.hpp"
+#include "core/transport.hpp"
 #include "dataplane/block_streamer.hpp"
 #include "dataplane/collector.hpp"
-#include "sim/transport.hpp"
 #include "telemetry/sampling.hpp"
 #include "util/rng.hpp"
 #include "wire/socket_transport.hpp"
@@ -186,10 +185,8 @@ TEST(Dataplane, ModeListenerShrinksAdvertisedCs) {
   sim.run_until(1000);
 
   ASSERT_EQ(stats.size(), 2u);
-  const auto* full = std::get_if<core::StatMsg>(
-      std::any_cast<core::Message>(&stats[0].payload));
-  const auto* degraded = std::get_if<core::StatMsg>(
-      std::any_cast<core::Message>(&stats[1].payload));
+  const auto* full = std::get_if<core::StatMsg>(&stats[0].message);
+  const auto* degraded = std::get_if<core::StatMsg>(&stats[1].message);
   ASSERT_NE(full, nullptr);
   ASSERT_NE(degraded, nullptr);
   EXPECT_EQ(full->telemetry_keep_fraction, 1.0);

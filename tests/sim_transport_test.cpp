@@ -1,20 +1,36 @@
-#include "sim/transport.hpp"
+#include "core/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace dust::sim {
 namespace {
+
+// Tagged probes: a KeepaliveMsg (kNormal) carries its tag as seq, a
+// TelemetryDataMsg (kLow, the only low-priority message) as owner.
+core::Message normal(int tag) {
+  return core::KeepaliveMsg{0, static_cast<std::uint64_t>(tag)};
+}
+core::Message low(int tag) {
+  return core::TelemetryDataMsg{static_cast<graph::NodeId>(tag), {}};
+}
+int tag_of(const Envelope& envelope) {
+  const auto* data = std::get_if<core::TelemetryDataMsg>(&envelope.message);
+  if (data != nullptr) return static_cast<int>(data->owner);
+  return static_cast<int>(std::get<core::KeepaliveMsg>(envelope.message).seq);
+}
 
 struct Fixture : ::testing::Test {
   Simulator sim;
   Transport transport{sim, util::Rng(1)};
   std::vector<Envelope> received;
 
-  void listen(const std::string& name) {
-    transport.register_endpoint(
+  std::uint64_t listen(const std::string& name) {
+    return transport.register_endpoint(
         name, [this](const Envelope& e) { received.push_back(e); });
   }
 };
@@ -22,26 +38,27 @@ struct Fixture : ::testing::Test {
 TEST_F(Fixture, DeliversAfterLatency) {
   listen("b");
   transport.set_default_latency_ms(25);
-  transport.send("a", "b", std::string("hello"));
+  transport.send("a", "b", core::AckMsg{7, 1234});
   sim.run_until(24);
   EXPECT_TRUE(received.empty());
   sim.run_until(25);
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].from, "a");
-  EXPECT_EQ(std::any_cast<std::string>(received[0].payload), "hello");
+  EXPECT_EQ(std::get<core::AckMsg>(received[0].message).update_interval_ms,
+            1234);
 }
 
 TEST_F(Fixture, UnknownEndpointCountsDropped) {
-  transport.send("a", "ghost", 1);
+  transport.send("a", "ghost", normal(1));
   sim.run();
   EXPECT_EQ(transport.dropped(), 1u);
   EXPECT_EQ(transport.delivered(), 0u);
 }
 
 TEST_F(Fixture, UnregisterWhileInFlightDrops) {
-  listen("b");
-  transport.send("a", "b", 1);
-  transport.unregister_endpoint("b");
+  const std::uint64_t token = listen("b");
+  transport.send("a", "b", normal(1));
+  transport.unregister_endpoint("b", token);
   sim.run();
   EXPECT_EQ(transport.delivered(), 0u);
   EXPECT_EQ(transport.dropped(), 1u);
@@ -50,7 +67,7 @@ TEST_F(Fixture, UnregisterWhileInFlightDrops) {
 TEST_F(Fixture, FullLossDropsEverything) {
   listen("b");
   transport.set_loss_probability(1.0);
-  for (int i = 0; i < 10; ++i) transport.send("a", "b", i);
+  for (int i = 0; i < 10; ++i) transport.send("a", "b", normal(i));
   sim.run();
   EXPECT_EQ(transport.dropped(), 10u);
   EXPECT_TRUE(received.empty());
@@ -59,7 +76,7 @@ TEST_F(Fixture, FullLossDropsEverything) {
 TEST_F(Fixture, PartialLossApproximatesRate) {
   listen("b");
   transport.set_loss_probability(0.3);
-  for (int i = 0; i < 2000; ++i) transport.send("a", "b", i);
+  for (int i = 0; i < 2000; ++i) transport.send("a", "b", normal(i));
   sim.run();
   EXPECT_NEAR(static_cast<double>(transport.dropped()) / 2000.0, 0.3, 0.05);
 }
@@ -73,13 +90,13 @@ TEST_F(Fixture, PartitionBlocksDestination) {
   listen("b");
   listen("c");
   transport.set_partitioned("b", true);
-  transport.send("a", "b", 1);
-  transport.send("a", "c", 2);
+  transport.send("a", "b", normal(1));
+  transport.send("a", "c", normal(2));
   sim.run();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].to, "c");
   transport.set_partitioned("b", false);
-  transport.send("a", "b", 3);
+  transport.send("a", "b", normal(3));
   sim.run();
   EXPECT_EQ(received.size(), 2u);
 }
@@ -87,13 +104,13 @@ TEST_F(Fixture, PartitionBlocksDestination) {
 TEST_F(Fixture, CongestionDropsOnlyLowPriority) {
   listen("b");
   transport.set_congested(true);
-  transport.send("a", "b", 1, Priority::kLow);
-  transport.send("a", "b", 2, Priority::kNormal);
+  transport.send("a", "b", low(1));
+  transport.send("a", "b", normal(2));
   sim.run();
   ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(std::any_cast<int>(received[0].payload), 2);
+  EXPECT_EQ(tag_of(received[0]), 2);
   transport.set_congested(false);
-  transport.send("a", "b", 3, Priority::kLow);
+  transport.send("a", "b", low(3));
   sim.run();
   EXPECT_EQ(received.size(), 2u);
 }
@@ -107,13 +124,13 @@ TEST_F(Fixture, LossAndPriorityInteract) {
   transport.set_loss_probability(0.2);
   constexpr int kPerClass = 1000;
   for (int i = 0; i < kPerClass; ++i) {
-    transport.send("a", "b", i, Priority::kLow);
-    transport.send("a", "b", i, Priority::kNormal);
+    transport.send("a", "b", low(i));
+    transport.send("a", "b", normal(i));
   }
   sim.run();
   std::size_t low_received = 0;
   for (const Envelope& e : received)
-    if (e.priority == Priority::kLow) ++low_received;
+    if (core::message_priority(e.message) == Priority::kLow) ++low_received;
   EXPECT_EQ(low_received, 0u);  // congestion sheds every kLow message
   const double normal_rate =
       static_cast<double>(received.size()) / kPerClass;
@@ -124,8 +141,8 @@ TEST_F(Fixture, LossAndPriorityInteract) {
 
 TEST_F(Fixture, CountersConsistent) {
   listen("b");
-  transport.send("a", "b", 1);
-  transport.send("a", "ghost", 2);
+  transport.send("a", "b", normal(1));
+  transport.send("a", "ghost", normal(2));
   sim.run();
   EXPECT_EQ(transport.sent(), 2u);
   EXPECT_EQ(transport.delivered() + transport.dropped(), 2u);
@@ -144,11 +161,10 @@ TEST_F(Fixture, HasEndpoint) {
 
 TEST_F(Fixture, MessagesPreserveFifoPerLatencyClass) {
   listen("b");
-  for (int i = 0; i < 5; ++i) transport.send("a", "b", i);
+  for (int i = 0; i < 5; ++i) transport.send("a", "b", normal(i));
   sim.run();
   ASSERT_EQ(received.size(), 5u);
-  for (int i = 0; i < 5; ++i)
-    EXPECT_EQ(std::any_cast<int>(received[i].payload), i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(tag_of(received[i]), i);
 }
 
 // Drop precedence is loss → partition → congestion: the loss draw is taken
@@ -162,15 +178,14 @@ std::vector<int> kept_deliveries(
   Simulator sim;
   Transport transport{sim, util::Rng(42)};
   std::vector<int> delivered;
-  transport.register_endpoint("keep", [&](const Envelope& e) {
-    delivered.push_back(std::any_cast<int>(e.payload));
-  });
+  transport.register_endpoint(
+      "keep", [&](const Envelope& e) { delivered.push_back(tag_of(e)); });
   transport.register_endpoint("telemetry", [](const Envelope&) {});
   transport.set_loss_probability(0.4);
   for (int i = 0; i < 200; ++i) {
     before_send(transport, i);
-    transport.send("a", "telemetry", i, Priority::kLow);
-    transport.send("a", "keep", i, Priority::kNormal);
+    transport.send("a", "telemetry", low(i));
+    transport.send("a", "keep", normal(i));
   }
   sim.run();
   return delivered;
@@ -212,11 +227,11 @@ TEST(TransportPrecedence, LossOutranksPartitionAndCongestionInAccounting) {
   transport.set_loss_probability(1.0);
   transport.set_partitioned("b", true);
   transport.set_congested(true);
-  for (int i = 0; i < 20; ++i) transport.send("a", "b", i, Priority::kLow);
+  for (int i = 0; i < 20; ++i) transport.send("a", "b", low(i));
   transport.set_loss_probability(0.0);
   transport.set_partitioned("b", false);
   transport.set_congested(false);
-  transport.send("a", "b", 99, Priority::kLow);
+  transport.send("a", "b", low(99));
   sim.run();
   EXPECT_EQ(transport.dropped(), 20u);
   EXPECT_EQ(received, 1u);
@@ -226,9 +241,8 @@ TEST(TransportFaultScript, AppliesEventsAtScheduledTimes) {
   Simulator sim;
   Transport transport{sim, util::Rng(5)};
   std::vector<int> delivered;
-  transport.register_endpoint("b", [&](const Envelope& e) {
-    delivered.push_back(std::any_cast<int>(e.payload));
-  });
+  transport.register_endpoint(
+      "b", [&](const Envelope& e) { delivered.push_back(tag_of(e)); });
 
   using Kind = FaultEvent::Kind;
   schedule_fault_script(sim, transport,
@@ -239,19 +253,18 @@ TEST(TransportFaultScript, AppliesEventsAtScheduledTimes) {
                          {5000, Kind::kCongestionOn, 0.0, ""},
                          {6000, Kind::kCongestionOff, 0.0, ""}});
 
-  const auto probe = [&](TimeMs at, int tag, Priority priority) {
-    sim.schedule_at(at, [&transport, tag, priority] {
-      transport.send("a", "b", tag, priority);
-    });
+  const auto probe = [&](TimeMs at, const core::Message& message) {
+    sim.schedule_at(
+        at, [&transport, message] { transport.send("a", "b", message); });
   };
-  probe(500, 1, Priority::kNormal);   // before any fault: delivered
-  probe(1500, 2, Priority::kNormal);  // full loss window: dropped
-  probe(2500, 3, Priority::kNormal);  // loss healed: delivered
-  probe(3500, 4, Priority::kNormal);  // partition window: dropped
-  probe(4500, 5, Priority::kNormal);  // partition healed: delivered
-  probe(5500, 6, Priority::kLow);     // congestion window: kLow dropped
-  probe(5500, 7, Priority::kNormal);  // ...but kNormal passes (§III-C QoS)
-  probe(6500, 8, Priority::kLow);     // congestion cleared: kLow delivered
+  probe(500, normal(1));   // before any fault: delivered
+  probe(1500, normal(2));  // full loss window: dropped
+  probe(2500, normal(3));  // loss healed: delivered
+  probe(3500, normal(4));  // partition window: dropped
+  probe(4500, normal(5));  // partition healed: delivered
+  probe(5500, low(6));     // congestion window: kLow dropped
+  probe(5500, normal(7));  // ...but kNormal passes (§III-C QoS)
+  probe(6500, low(8));     // congestion cleared: kLow delivered
   sim.run();
   EXPECT_EQ(delivered, (std::vector<int>{1, 3, 5, 7, 8}));
 }

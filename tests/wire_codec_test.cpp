@@ -28,11 +28,14 @@ TEST(WireCodec, RoundTripIsByteIdenticalForEveryMessageType) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     for (std::size_t type_index = 0; type_index < 10; ++type_index) {
       util::Rng rng(seed * 977 + type_index);
-      Frame frame = wire::message_frame(
-          "dust-client-1", "dust-manager",
-          check::random_message(rng, type_index),
-          rng.bernoulli(0.5) ? sim::Priority::kLow : sim::Priority::kNormal,
-          "kind-" + std::to_string(type_index), rng());
+      core::Message message = check::random_message(rng, type_index);
+      const std::uint64_t trace_id = rng();
+      Frame frame = wire::message_frame("dust-client-1", "dust-manager",
+                                        std::move(message), trace_id);
+      // Any header round-trips, not only the one message_frame derives.
+      frame.priority =
+          rng.bernoulli(0.5) ? sim::Priority::kLow : sim::Priority::kNormal;
+      frame.kind = "kind-" + std::to_string(type_index);
 
       const std::vector<std::uint8_t> bytes = encode_frame(frame);
       const DecodeResult decoded = decode_frame(bytes.data(), bytes.size());
@@ -68,8 +71,7 @@ TEST(WireCodec, RandomFramesRoundTrip) {
 }
 
 TEST(WireCodec, HeaderLayoutMatchesSpec) {
-  Frame frame = wire::message_frame("a", "b", core::Message{core::AckMsg{}},
-                                    sim::Priority::kNormal, "ack", 7);
+  Frame frame = wire::message_frame("a", "b", core::AckMsg{}, 7);
   const std::vector<std::uint8_t> bytes = encode_frame(frame);
   ASSERT_GE(bytes.size(), wire::kWireHeaderBytes);
   // Magic: "DUST" read as a little-endian u32, i.e. the literal characters
@@ -90,6 +92,40 @@ TEST(WireCodec, HeaderLayoutMatchesSpec) {
   EXPECT_EQ(bytes[16], static_cast<std::uint8_t>(sim::Priority::kNormal));
 }
 
+// One frame per message type, built the way SocketTransport::send builds
+// it. The hash was taken while every send site still passed its priority
+// and kind by hand: deriving both from the message left the bytes alone.
+TEST(WireCodec, ProtocolFrameBytesPinned) {
+  telemetry::DeviceSnapshot snapshot;
+  snapshot.timestamp_ms = 61000;
+  snapshot.device_cpu_percent = 93.25;
+  snapshot.links_up = 3;
+  const obs::TraceContext ctx{0x1111, 0x2222};
+  const std::vector<core::Message> messages = {
+      core::OffloadCapableMsg{3, true, 1.5},
+      core::AckMsg{3, 60000},
+      core::StatMsg{3, 91.5, 12.25, 7, 0.75, ctx},
+      core::OffloadRequestMsg{42, 3, 5, 12.5, 4, {3, 4, 5}, ctx},
+      core::OffloadAckMsg{42, 5, true, ctx},
+      core::AgentTransferMsg{
+          42, 3, {telemetry::MonitorAgent("snmp.interfaces", {}, 1000)}, ctx},
+      core::TelemetryDataMsg{3, snapshot},
+      core::KeepaliveMsg{5, 9},
+      core::RepMsg{5, 6, 3, 43, 12.5, ctx},
+      core::ReleaseMsg{3, 6},
+  };
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64
+  for (const core::Message& message : messages) {
+    const Frame frame = wire::message_frame("dust-client-3", "dust-manager",
+                                            message, ctx.trace_id);
+    EXPECT_EQ(frame.priority, core::message_priority(message));
+    EXPECT_EQ(frame.kind, core::message_kind(message));
+    for (const std::uint8_t byte : encode_frame(frame))
+      hash = (hash ^ byte) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(hash, 0x86c64038d02071b8ull);
+}
+
 TEST(WireCodec, AnnounceRoundTrip) {
   Frame frame = wire::announce_frame({"dust-client-3", "dust-client-9", ""});
   const std::vector<std::uint8_t> bytes = encode_frame(frame);
@@ -101,9 +137,8 @@ TEST(WireCodec, AnnounceRoundTrip) {
 }
 
 TEST(WireCodec, EncodeRejectsOverlongStrings) {
-  Frame frame = wire::message_frame(std::string(70000, 'x'), "b",
-                                    core::Message{core::AckMsg{}},
-                                    sim::Priority::kNormal);
+  Frame frame =
+      wire::message_frame(std::string(70000, 'x'), "b", core::AckMsg{});
   EXPECT_THROW((void)encode_frame(frame), std::invalid_argument);
 }
 

@@ -24,8 +24,8 @@
 #include "core/client.hpp"
 #include "core/heuristic.hpp"
 #include "core/manager.hpp"
+#include "core/transport.hpp"
 #include "daemon_harness.hpp"
-#include "sim/transport.hpp"
 #include "util/rng.hpp"
 #include "wire/demo_scenario.hpp"
 

@@ -62,18 +62,14 @@ TEST(WireSocket, LeafDeliversToHubEndpoint) {
   leaf.register_endpoint("dust-client-0", [](const sim::Envelope&) {});
 
   core::Message message{core::StatMsg{0, 55.5, 12.25, 3, 1.0, {0xAB, 0xCD}}};
-  leaf.send("dust-client-0", "dust-manager", message, sim::Priority::kNormal,
-            "stat", 0xAB);
+  leaf.send("dust-client-0", "dust-manager", message, 0xAB);
 
   ASSERT_TRUE(pump_until({&hub, &leaf}, [&] { return !received.empty(); }));
   const sim::Envelope& envelope = received.front();
   EXPECT_EQ(envelope.from, "dust-client-0");
   EXPECT_EQ(envelope.to, "dust-manager");
-  EXPECT_EQ(envelope.priority, sim::Priority::kNormal);
-  EXPECT_EQ(envelope.kind, "stat");
   EXPECT_EQ(envelope.trace_id, 0xABu);
-  const auto* stat = std::get_if<core::StatMsg>(
-      std::any_cast<core::Message>(&envelope.payload));
+  const auto* stat = std::get_if<core::StatMsg>(&envelope.message);
   ASSERT_NE(stat, nullptr);
   EXPECT_EQ(stat->utilization_percent, 55.5);
   EXPECT_EQ(stat->trace.trace_id, 0xABu);
@@ -97,15 +93,19 @@ TEST(WireSocket, HubForwardsBetweenLeaves) {
   ASSERT_TRUE(pump_until({&hub, &left, &right},
                          [&] { return hub.peer_count() == 2; }));
 
-  core::Message message{
-      core::TelemetryDataMsg{1, telemetry::DeviceSnapshot{}}};
-  left.send("dust-client-1", "dust-client-2", message, sim::Priority::kLow,
-            "telemetry_data");
+  telemetry::DeviceSnapshot snapshot;
+  snapshot.timestamp_ms = 777;
+  left.send("dust-client-1", "dust-client-2",
+            core::TelemetryDataMsg{1, snapshot});
 
   ASSERT_TRUE(pump_until({&hub, &left, &right},
                          [&] { return !received.empty(); }));
   EXPECT_EQ(received.front().to, "dust-client-2");
-  EXPECT_EQ(received.front().priority, sim::Priority::kLow);
+  const auto* data =
+      std::get_if<core::TelemetryDataMsg>(&received.front().message);
+  ASSERT_NE(data, nullptr);
+  EXPECT_EQ(data->owner, 1u);
+  EXPECT_EQ(data->snapshot.timestamp_ms, 777);
   EXPECT_GE(hub.frames_forwarded(), 1u);
 }
 
@@ -116,12 +116,12 @@ TEST(WireSocket, SameProcessEndpointsBypassTheWire) {
   hub.register_endpoint("b", [&](const sim::Envelope& envelope) {
     received.push_back(envelope);
   });
-  hub.send("a", "b", core::Message{core::AckMsg{3, 1000}},
-           sim::Priority::kNormal, "ack");
+  hub.send("a", "b", core::AckMsg{3, 1000});
   EXPECT_TRUE(received.empty());  // delivery happens inside poll_once
   hub.poll_once(0);
   ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(received.front().kind, "ack");
+  EXPECT_TRUE(std::holds_alternative<core::AckMsg>(received.front().message));
+  EXPECT_EQ(hub.frames_received(), 0u);
 }
 
 TEST(WireSocket, QueueCapShedsLowPriorityFirst) {
@@ -134,28 +134,22 @@ TEST(WireSocket, QueueCapShedsLowPriorityFirst) {
 
   core::Message low{core::TelemetryDataMsg{0, telemetry::DeviceSnapshot{}}};
   core::Message normal{core::KeepaliveMsg{0, 1}};
-  for (int i = 0; i < 3; ++i)
-    leaf.send("dust-client-0", "dust-manager", low, sim::Priority::kLow,
-              "telemetry_data");
+  for (int i = 0; i < 3; ++i) leaf.send("dust-client-0", "dust-manager", low);
   EXPECT_EQ(leaf.dropped(), 0u);
 
   // kLow arriving at a full queue is shed outright...
-  leaf.send("dust-client-0", "dust-manager", low, sim::Priority::kLow,
-            "telemetry_data");
+  leaf.send("dust-client-0", "dust-manager", low);
   EXPECT_EQ(leaf.dropped(), 1u);
   // ...while kNormal displaces a queued kLow frame instead.
-  leaf.send("dust-client-0", "dust-manager", normal, sim::Priority::kNormal,
-            "keepalive");
+  leaf.send("dust-client-0", "dust-manager", normal);
   EXPECT_EQ(leaf.dropped(), 2u);
   // Two queued kLow frames remain; two more kNormal sends displace both...
   for (int i = 0; i < 2; ++i)
-    leaf.send("dust-client-0", "dust-manager", normal, sim::Priority::kNormal,
-              "keepalive");
+    leaf.send("dust-client-0", "dust-manager", normal);
   EXPECT_EQ(leaf.dropped(), 4u);
   // ...and only when no kLow is left does kNormal overflow drop the new
   // frame.
-  leaf.send("dust-client-0", "dust-manager", normal, sim::Priority::kNormal,
-            "keepalive");
+  leaf.send("dust-client-0", "dust-manager", normal);
   EXPECT_EQ(leaf.dropped(), 5u);
 }
 
@@ -182,16 +176,13 @@ TEST(WireSocket, LeafReconnectsAndRedeliversQueuedFrames) {
   SocketTransport leaf(config);
   leaf.register_endpoint("dust-client-0", [](const sim::Envelope&) {});
 
-  core::Message message{core::KeepaliveMsg{0, 1}};
-  leaf.send("dust-client-0", "dust-manager", message, sim::Priority::kNormal,
-            "keepalive");
+  leaf.send("dust-client-0", "dust-manager", core::KeepaliveMsg{0, 1});
   ASSERT_TRUE(
       pump_until({hub.get(), &leaf}, [&] { return received.size() == 1; }));
 
   // Hub dies; frames sent during the outage queue on the leaf.
   hub.reset();
-  leaf.send("dust-client-0", "dust-manager", message, sim::Priority::kNormal,
-            "keepalive");
+  leaf.send("dust-client-0", "dust-manager", core::KeepaliveMsg{0, 2});
   ASSERT_TRUE(pump_until({&leaf}, [&] { return !leaf.connected(); }));
 
   // Hub returns on the same port: the leaf must reconnect, re-announce, and
@@ -200,7 +191,7 @@ TEST(WireSocket, LeafReconnectsAndRedeliversQueuedFrames) {
   ASSERT_TRUE(
       pump_until({hub.get(), &leaf}, [&] { return received.size() == 2; }));
   EXPECT_GE(leaf.reconnects(), 1u);
-  EXPECT_EQ(received.back().kind, "keepalive");
+  EXPECT_EQ(std::get<core::KeepaliveMsg>(received.back().message).seq, 2u);
 }
 
 TEST(WireSocket, FederationFramesRouteToFederationHandler) {
@@ -282,21 +273,17 @@ TEST(WireSocket, ReconnectListenerFramesOutrunTheStaleBacklog) {
   leaf.set_reconnect_listener([&] {
     ++listener_calls;
     leaf.send("dust-client-0", "dust-manager",
-              core::Message{core::StatMsg{0, 42.0, 1.0, 1, 1.0, {}}},
-              sim::Priority::kNormal, "fresh-stat");
+              core::StatMsg{0, 42.0, 1.0, 1, 1.0, {}});
   });
 
-  core::Message keepalive{core::KeepaliveMsg{0, 1}};
-  leaf.send("dust-client-0", "dust-manager", keepalive, sim::Priority::kNormal,
-            "keepalive");
+  leaf.send("dust-client-0", "dust-manager", core::KeepaliveMsg{0, 1});
   ASSERT_TRUE(
       pump_until({hub.get(), &leaf}, [&] { return received.size() == 1; }));
   EXPECT_EQ(listener_calls, 0);  // never on the first connect
 
   // Hub dies; a stale frame queues on the leaf during the outage.
   hub.reset();
-  leaf.send("dust-client-0", "dust-manager", keepalive, sim::Priority::kNormal,
-            "stale-keepalive");
+  leaf.send("dust-client-0", "dust-manager", core::KeepaliveMsg{0, 2});
   ASSERT_TRUE(pump_until({&leaf}, [&] { return !leaf.connected(); }));
 
   // Hub returns: listener fires once, and its STAT lands before the backlog.
@@ -304,8 +291,9 @@ TEST(WireSocket, ReconnectListenerFramesOutrunTheStaleBacklog) {
   ASSERT_TRUE(
       pump_until({hub.get(), &leaf}, [&] { return received.size() == 3; }));
   EXPECT_EQ(listener_calls, 1);
-  EXPECT_EQ(received[1].kind, "fresh-stat");
-  EXPECT_EQ(received[2].kind, "stale-keepalive");
+  EXPECT_EQ(std::get<core::StatMsg>(received[1].message).utilization_percent,
+            42.0);
+  EXPECT_EQ(std::get<core::KeepaliveMsg>(received[2].message).seq, 2u);
 }
 
 // The full control plane over sockets: handshakes, the STAT gate, and one
