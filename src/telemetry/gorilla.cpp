@@ -1,5 +1,6 @@
 #include "telemetry/gorilla.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <istream>
@@ -8,23 +9,47 @@
 
 namespace dust::telemetry {
 
-void BitWriter::write_bit(bool bit) {
-  const std::size_t byte = bit_count_ / 8;
-  if (byte == data_.size()) data_.push_back(0);
-  if (bit) data_[byte] |= static_cast<std::uint8_t>(0x80u >> (bit_count_ % 8));
-  ++bit_count_;
+namespace {
+
+std::uint64_t load_be64(const std::uint8_t* at) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, at, sizeof word);
+  if constexpr (std::endian::native == std::endian::little)
+    word = __builtin_bswap64(word);
+  return word;
 }
+
+void store_be64(std::uint8_t* at, std::uint64_t word) noexcept {
+  if constexpr (std::endian::native == std::endian::little)
+    word = __builtin_bswap64(word);
+  std::memcpy(at, &word, sizeof word);
+}
+
+}  // namespace
 
 void BitWriter::write_bits(std::uint64_t value, unsigned bits) {
   if (bits > 64) throw std::invalid_argument("BitWriter::write_bits: bits > 64");
-  for (unsigned i = bits; i-- > 0;)
-    write_bit((value >> i) & 1u);
+  if (bits == 0) return;
+  // The field spans at most 9 bytes from the tail byte; everything past the
+  // written bits is zero, so OR-ing the top-aligned field in is exact. The
+  // shift drops the bits of `value` above `bits`.
+  const std::size_t at = bit_count_ / 8;
+  const unsigned used = bit_count_ % 8;
+  if (data_.size() < at + 9)
+    data_.resize(std::max<std::size_t>(2 * data_.size(), at + 64));
+  const std::uint64_t field = value << (64 - bits);
+  std::uint8_t* out = data_.data() + at;
+  store_be64(out, load_be64(out) | field >> used);
+  if (used + bits > 64) out[8] = static_cast<std::uint8_t>(field << (8 - used));
+  bit_count_ += bits;
 }
 
 BitWriter BitWriter::from_bytes(std::vector<std::uint8_t> data,
                                 std::size_t bit_count) {
   if (data.size() != (bit_count + 7) / 8)
     throw std::invalid_argument("BitWriter::from_bytes: inconsistent sizes");
+  if (bit_count % 8 != 0)  // later appends OR into the tail byte
+    data.back() &= static_cast<std::uint8_t>(0xff00u >> (bit_count % 8));
   BitWriter writer;
   writer.data_ = std::move(data);
   writer.bit_count_ = bit_count;
@@ -41,24 +66,29 @@ bool BitReader::read_bit() {
 }
 
 std::uint64_t BitReader::read_bits(unsigned bits) {
-  std::uint64_t value = 0;
-  for (unsigned i = 0; i < bits; ++i) value = (value << 1) | (read_bit() ? 1u : 0u);
-  return value;
+  if (bits > 64) throw std::invalid_argument("BitReader::read_bits: bits > 64");
+  if (bits > bit_count_ - cursor_)
+    throw std::out_of_range("BitReader: read past end");
+  if (bits == 0) return 0;
+  // Big-endian window of the (up to 9) bytes under the field: eight in one
+  // load when the stream has them, byte by byte at its tail.
+  const std::uint8_t* at = data_.data() + cursor_ / 8;
+  const std::size_t left = data_.size() - cursor_ / 8;
+  std::uint64_t window = 0;
+  if (left >= 8) {
+    window = load_be64(at);
+  } else {
+    for (std::size_t i = 0; i < left; ++i)
+      window |= static_cast<std::uint64_t>(at[i]) << (56 - 8 * i);
+  }
+  const unsigned skip = cursor_ % 8;
+  window <<= skip;
+  if (skip + bits > 64) window |= at[8] >> (8 - skip);
+  cursor_ += bits;
+  return window >> (64 - bits);
 }
 
 namespace {
-
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
 
 /// Zig-zag to keep small signed deltas in few bits.
 std::uint64_t zigzag(std::int64_t v) {
@@ -85,13 +115,13 @@ void CompressedBlock::append(const Sample& sample) {
     const std::int64_t dod = delta - prev_delta_;
     if (dod == 0) {
       writer_.write_bit(false);
-    } else if (dod >= -63 && dod <= 64) {
+    } else if (dod >= -63 && dod <= 63) {
       writer_.write_bits(0b10, 2);
       writer_.write_bits(zigzag(dod), 7);
-    } else if (dod >= -255 && dod <= 256) {
+    } else if (dod >= -255 && dod <= 255) {
       writer_.write_bits(0b110, 3);
       writer_.write_bits(zigzag(dod), 9);
-    } else if (dod >= -2047 && dod <= 2048) {
+    } else if (dod >= -2047 && dod <= 2047) {
       writer_.write_bits(0b1110, 4);
       writer_.write_bits(zigzag(dod), 12);
     } else {
@@ -103,7 +133,7 @@ void CompressedBlock::append(const Sample& sample) {
   }
 
   // --- value ---
-  const std::uint64_t bits = double_bits(sample.value);
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(sample.value);
   if (count_ == 0) {
     writer_.write_bits(bits, 64);
   } else {
@@ -146,7 +176,7 @@ std::vector<Sample> CompressedBlock::decode() const {
   std::int64_t timestamp =
       static_cast<std::int64_t>(reader.read_bits(64));
   std::uint64_t value_bits = reader.read_bits(64);
-  samples.push_back(Sample{timestamp, bits_double(value_bits)});
+  samples.push_back(Sample{timestamp, std::bit_cast<double>(value_bits)});
 
   std::int64_t delta = 0;
   unsigned leading = 0, trailing = 0;
@@ -178,7 +208,7 @@ std::vector<Sample> CompressedBlock::decode() const {
         value_bits ^= reader.read_bits(length) << trailing;
       }
     }
-    samples.push_back(Sample{timestamp, bits_double(value_bits)});
+    samples.push_back(Sample{timestamp, std::bit_cast<double>(value_bits)});
   }
   return samples;
 }
@@ -222,7 +252,7 @@ void CompressedBlock::serialize(std::ostream& os) const {
   put(os, static_cast<std::uint32_t>(prev_trailing_));
   put(os, static_cast<std::uint8_t>(has_window_ ? 1 : 0));
   put(os, static_cast<std::uint64_t>(writer_.bit_count()));
-  const auto& bytes = writer_.bytes();
+  const std::span<const std::uint8_t> bytes = writer_.bytes();
   put(os, static_cast<std::uint64_t>(bytes.size()));
   os.write(reinterpret_cast<const char*>(bytes.data()),
            static_cast<std::streamsize>(bytes.size()));
@@ -246,17 +276,12 @@ CompressedBlock CompressedBlock::deserialize(std::istream& is) {
   const auto byte_count = static_cast<std::size_t>(get<std::uint64_t>(is));
   if (byte_count != (bit_count + 7) / 8)
     throw std::runtime_error("CompressedBlock: inconsistent sizes");
-  std::vector<char> raw(byte_count);
-  is.read(raw.data(), static_cast<std::streamsize>(byte_count));
+  std::vector<std::uint8_t> payload(byte_count);
+  is.read(reinterpret_cast<char*>(payload.data()),
+          static_cast<std::streamsize>(byte_count));
   if (static_cast<std::size_t>(is.gcount()) != byte_count)
     throw std::runtime_error("CompressedBlock: truncated payload");
-  // Rebuild the writer bit-exactly.
-  BitWriter writer;
-  for (std::size_t bit = 0; bit < bit_count; ++bit) {
-    const auto byte = static_cast<std::uint8_t>(raw[bit / 8]);
-    writer.write_bit((byte >> (7 - bit % 8)) & 1u);
-  }
-  block.writer_ = std::move(writer);
+  block.writer_ = BitWriter::from_bytes(std::move(payload), bit_count);
   return block;
 }
 
@@ -264,12 +289,14 @@ CompressedBlock CompressedBlock::from_wire(std::vector<std::uint8_t> payload,
                                            std::size_t bit_count,
                                            std::size_t sample_count,
                                            std::int64_t first_timestamp_ms,
-                                           std::int64_t last_timestamp_ms) {
+                                           std::int64_t last_timestamp_ms,
+                                           double last_value) {
   CompressedBlock block;
   block.writer_ = BitWriter::from_bytes(std::move(payload), bit_count);
   block.count_ = sample_count;
   block.first_timestamp_ = first_timestamp_ms;
   block.prev_timestamp_ = last_timestamp_ms;
+  block.prev_value_bits_ = std::bit_cast<std::uint64_t>(last_value);
   return block;
 }
 

@@ -2,51 +2,70 @@
 // delta-of-delta timestamps + XOR-encoded doubles. This implements the
 // paper's "in-situ data compression ... which aids in reducing data
 // transfers" (§III-A) for the TSDB substrate.
+//
+// The bit stream moves a field at a time, not a bit at a time: the writer
+// ORs each field into one big-endian 64-bit word (plus one spill byte) of a
+// zeroed buffer, and the reader shifts one big-endian window of up to 9
+// bytes per field. Both are pinned against a bit-at-a-time reference
+// (tests/telemetry_gorilla_test.cpp), so the bytes are a per-bit codec's.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "telemetry/metric.hpp"
 
 namespace dust::telemetry {
 
-/// Append-only bit stream.
+/// Append-only bit stream, most-significant bit of each byte first. After
+/// every call bytes() views exactly ceil(bit_count() / 8) bytes with the pad
+/// bits of the last byte zero, so a caller may read (or send) it any time.
+/// The view stays valid until the next write.
 class BitWriter {
  public:
-  void write_bit(bool bit);
-  /// Write the low `bits` bits of `value`, most-significant first. bits<=64.
+  void write_bit(bool bit) { write_bits(bit ? 1u : 0u, 1); }
+  /// Write the low `bits` bits of `value`, most-significant first; the bits
+  /// of `value` above them are ignored. Throws std::invalid_argument when
+  /// bits > 64.
   void write_bits(std::uint64_t value, unsigned bits);
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
-    return data_;
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return {data_.data(), (bit_count_ + 7) / 8};
   }
   [[nodiscard]] std::size_t bit_count() const noexcept { return bit_count_; }
 
   /// Adopt an already-encoded bit stream wholesale (the data-plane receive
-  /// path: the payload crossed the wire verbatim, no reason to replay it bit
-  /// by bit). Throws std::invalid_argument when `bit_count` does not fit
-  /// `data`.
+  /// and snapshot-restore paths: no reason to replay it bit by bit). Clears
+  /// the pad bits past `bit_count`, so appends stay exact. Throws
+  /// std::invalid_argument when `bit_count` does not fit `data`.
   static BitWriter from_bytes(std::vector<std::uint8_t> data,
                               std::size_t bit_count);
 
  private:
+  /// bytes() and then zeroed slack, so every write is whole-word stores.
   std::vector<std::uint8_t> data_;
   std::size_t bit_count_ = 0;
 };
 
+/// Reads a BitWriter stream back. Every read checks its width against the
+/// bits left before it touches the data: reading past bit_count throws
+/// std::out_of_range and leaves the cursor where it was.
 class BitReader {
  public:
-  BitReader(const std::vector<std::uint8_t>& data, std::size_t bit_count)
+  BitReader(std::span<const std::uint8_t> data, std::size_t bit_count)
       : data_(data), bit_count_(bit_count) {}
 
   bool read_bit();
+  /// Read `bits` bits (<= 64, else std::invalid_argument), most-significant
+  /// first. read_bits(0) returns 0 and does not move the cursor.
   std::uint64_t read_bits(unsigned bits);
   [[nodiscard]] bool exhausted() const noexcept { return cursor_ >= bit_count_; }
 
  private:
-  const std::vector<std::uint8_t>& data_;
+  std::span<const std::uint8_t> data_;
   std::size_t bit_count_;
   std::size_t cursor_ = 0;
 };
@@ -67,6 +86,11 @@ class CompressedBlock {
   [[nodiscard]] std::int64_t last_timestamp_ms() const noexcept {
     return prev_timestamp_;
   }
+  /// Value of the last sample (0.0 when empty), from the append state: no
+  /// decode. The streamer puts it in each block's wire descriptor.
+  [[nodiscard]] double last_value() const noexcept {
+    return std::bit_cast<double>(prev_value_bits_);
+  }
 
   /// Decode the whole block.
   [[nodiscard]] std::vector<Sample> decode() const;
@@ -82,7 +106,7 @@ class CompressedBlock {
 
   /// The raw encoded bit stream — what the data plane puts on the wire
   /// (scatter-gathered, never copied into the codec buffer).
-  [[nodiscard]] const std::vector<std::uint8_t>& payload() const noexcept {
+  [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
     return writer_.bytes();
   }
   [[nodiscard]] std::size_t payload_bit_count() const noexcept {
@@ -90,14 +114,16 @@ class CompressedBlock {
   }
 
   /// Rebuild a block from its wire form (payload + framing metadata). The
-  /// result is read-only in spirit: decode() works, but the XOR append state
-  /// is not recovered, so appending to it would corrupt the stream. Throws
+  /// result is read-only in spirit: decode(), last_timestamp_ms() and
+  /// last_value() work, but the XOR window and last delta are not
+  /// recovered, so appending to it would corrupt the stream. Throws
   /// std::invalid_argument on inconsistent sizes.
   static CompressedBlock from_wire(std::vector<std::uint8_t> payload,
                                    std::size_t bit_count,
                                    std::size_t sample_count,
                                    std::int64_t first_timestamp_ms,
-                                   std::int64_t last_timestamp_ms);
+                                   std::int64_t last_timestamp_ms,
+                                   double last_value);
 
  private:
   BitWriter writer_;

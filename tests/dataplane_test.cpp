@@ -310,6 +310,70 @@ TEST(Dataplane, LossAuditDrainsPerOwnerWindows) {
   EXPECT_TRUE(collector.drain_loss_audit().empty());
 }
 
+// The collector decodes every block and checks it against its descriptor
+// before adopting it. One frame carries a block whose bit_count is too short
+// for its samples (the reader runs past the end), one whose last_value is
+// wrong, and one good block: the two bad ones count as verify failures and
+// stay out of the TSDB, the good one is adopted.
+TEST(Dataplane, CorruptBlockFailsVerifyAndIsNotAdopted) {
+  wire::SocketTransport hub(hub_config());
+  wire::SocketTransport leaf(leaf_config(hub.listen_port()));
+  dataplane::Collector collector(hub, "dust-collector");
+  leaf.register_endpoint("dust-streamer-3", [](const sim::Envelope&) {});
+
+  util::Rng rng(23);
+  auto make_block = [&] {
+    telemetry::CompressedBlock block;
+    for (int i = 0; i < 64; ++i)
+      block.append(telemetry::Sample{i * 100, rng.uniform(-1e6, 1e6)});
+    return block;
+  };
+  const telemetry::CompressedBlock truncated = make_block();
+  const telemetry::CompressedBlock mislabeled = make_block();
+  const telemetry::CompressedBlock good = make_block();
+
+  auto descriptor = [](const std::string& series,
+                       const telemetry::CompressedBlock& block) {
+    wire::BlockDescriptor d;
+    d.series = series;
+    d.sample_count = static_cast<std::uint32_t>(block.sample_count());
+    d.bit_count = block.payload_bit_count();
+    d.first_timestamp_ms = block.first_timestamp_ms();
+    d.last_timestamp_ms = block.last_timestamp_ms();
+    d.last_value = block.last_value();
+    return d;
+  };
+  wire::DataBlocksBody body;
+  body.owner = 3;
+  body.blocks.resize(3);
+  body.blocks[0].descriptor = descriptor("short", truncated);
+  body.blocks[0].descriptor.bit_count -= 12;  // last sample cut off
+  body.blocks[1].descriptor = descriptor("wrong", mislabeled);
+  body.blocks[1].descriptor.last_value = mislabeled.last_value() + 1.0;
+  body.blocks[2].descriptor = descriptor("good", good);
+  const std::vector<wire::PayloadRef> payloads{
+      {truncated.payload().data(),
+       (body.blocks[0].descriptor.bit_count + 7) / 8},
+      {mislabeled.payload().data(), mislabeled.payload().size()},
+      {good.payload().data(), good.payload().size()}};
+
+  const std::uint64_t failures_before = collector.stats().verify_failures;
+  wire::Frame frame = wire::data_blocks_frame(
+      "dust-streamer-3", "dust-collector", std::move(body));
+  ASSERT_TRUE(leaf.send_data_frame(
+      "dust-streamer-3", "dust-collector",
+      wire::encode_data_blocks_gather(frame, payloads), sim::Priority::kLow,
+      "data_blocks", nullptr));
+  pump(leaf, hub);
+
+  EXPECT_EQ(collector.stats().blocks, 3u);
+  EXPECT_EQ(collector.stats().verify_failures, failures_before + 2);
+  EXPECT_FALSE(collector.tsdb().find("node3/short").has_value());
+  EXPECT_FALSE(collector.tsdb().find("node3/wrong").has_value());
+  ASSERT_TRUE(collector.tsdb().find("node3/good").has_value());
+  EXPECT_EQ(collector.stats().samples, good.sample_count());
+}
+
 class DataplaneCheck : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DataplaneCheck, SeededScenarioHoldsNoSilentLossContract) {
