@@ -14,12 +14,20 @@
 //                  enumeration); timing is recorded, not gated.
 //
 // Fat-tree runs measure a churned steady state: cold first cycle, then
-// `cycles` jittered cycles served by the incremental machinery. Results land
-// in BENCH_solver_scale.json (dust-bench-v1); per-record configs carry
+// `cycles` jittered cycles served by the incremental machinery. Every scale
+// runs `reps` times from the same seed, the scales taking turns, and the
+// timings recorded are the medians over those repetitions, with their
+// interquartile spread ((q3 - q1) / median) printed and recorded beside
+// them: a single
+// millisecond-scale sample per process swung 20-118% between identical runs
+// on a shared host, which no 10% gate can read. Results land in
+// BENCH_solver_scale.json (dust-bench-v1); per-record configs carry
 // nodes=/edges= so bench_compare.py refuses cross-scale comparisons.
 #include <algorithm>
 #include <iostream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -40,6 +48,7 @@ struct ScaleStats {
   std::size_t busy = 0;
   std::size_t candidates = 0;
   double cold_ms = 0.0;    ///< first full build + solve
+  double cold_spread = 0.0;  ///< (q3 - q1) / median of cold_ms over reps
   std::size_t cold_pivots = 0;  ///< MODI pivots of the cold solve
   /// Cold cycle time over its pivots. The solve dominates the fat-tree
   /// cold cycles, so there this tracks the per-pivot cost; the path engine
@@ -48,6 +57,7 @@ struct ScaleStats {
     return cold_pivots == 0 ? 0.0 : cold_ms / static_cast<double>(cold_pivots);
   }
   double steady_ms = 0.0;  ///< per churned cycle, incremental pipeline
+  double steady_spread = 0.0;  ///< as cold_spread, for steady_ms
   /// Stage split of the churned cycle: Trmin cache begin_cycle and model
   /// build (row fill included). The solve is the rest of steady_ms.
   double steady_sync_ms = 0.0;
@@ -69,6 +79,36 @@ void jitter(net::NetworkState& net, util::Rng& rng) {
         std::clamp(state.utilization * rng.uniform(0.97, 1.03), 0.01, 1.0);
     net.set_link(e, state);
   }
+}
+
+// Median of one timing over a scale's repetitions, and its interquartile
+// spread relative to the median.
+std::pair<double, double> median_and_spread(const std::vector<ScaleStats>& runs,
+                                            double ScaleStats::*timing) {
+  std::vector<double> values;
+  for (const ScaleStats& run : runs) values.push_back(run.*timing);
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  const double median = values.size() % 2 == 1
+                            ? values[mid]
+                            : 0.5 * (values[mid - 1] + values[mid]);
+  const std::size_t quartile = (values.size() - 1) / 4;
+  const double iqr = values[values.size() - 1 - quartile] - values[quartile];
+  return {median, median > 0.0 ? iqr / median : 0.0};
+}
+
+// One row per scale: the first repetition's counts (every repetition starts
+// from the same seed, so they all agree) and the median timings.
+ScaleStats summarize(const std::vector<ScaleStats>& runs) {
+  ScaleStats row = runs.front();
+  std::tie(row.cold_ms, row.cold_spread) =
+      median_and_spread(runs, &ScaleStats::cold_ms);
+  std::tie(row.steady_ms, row.steady_spread) =
+      median_and_spread(runs, &ScaleStats::steady_ms);
+  row.steady_sync_ms = median_and_spread(runs, &ScaleStats::steady_sync_ms).first;
+  row.steady_build_ms =
+      median_and_spread(runs, &ScaleStats::steady_build_ms).first;
+  return row;
 }
 
 core::OptimizerOptions pipeline_options(net::ResponseTimeCache* cache,
@@ -185,11 +225,13 @@ void write_json(const std::vector<ScaleStats>& rows, std::size_t cycles) {
         ",edges=" + std::to_string(row.edges) +
         ",cycles=" + std::to_string(cycles);
     json.add("cold_ms_per_cycle", row.cold_ms, "ms", config);
+    json.add("cold_spread_pct", 100.0 * row.cold_spread, "%", config);
     json.add("cold_pivots", static_cast<double>(row.cold_pivots), "count",
              config);
     json.add("cold_ms_per_pivot", row.cold_ms_per_pivot(), "ms", config);
     if (row.steady_ms > 0.0) {
       json.add("steady_ms_per_cycle", row.steady_ms, "ms", config);
+      json.add("steady_spread_pct", 100.0 * row.steady_spread, "%", config);
       json.add("steady_sync_ms_per_cycle", row.steady_sync_ms, "ms", config);
       json.add("steady_build_ms_per_cycle", row.steady_build_ms, "ms",
                config);
@@ -217,23 +259,33 @@ int main() {
             << " (size via DUST_THREADS)\n";
 
   const std::size_t cycles = bench::iterations(100, 20);
+  const std::size_t reps = bench::iterations(15, 9);
+  std::cout << "# repetitions: " << reps
+            << " per scale, interleaved; timings are medians\n";
+  std::vector<std::vector<ScaleStats>> runs(3);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    runs[0].push_back(run_fat_tree(16, cycles, 4));
+    runs[1].push_back(run_fat_tree(32, cycles, 4));
+    runs[2].push_back(run_random_100k(100000, 64, 2000));
+  }
   std::vector<ScaleStats> rows;
-  rows.push_back(run_fat_tree(16, cycles, 4));
-  rows.push_back(run_fat_tree(32, cycles, 4));
-  rows.push_back(run_random_100k(100000, 64, 2000));
+  for (const std::vector<ScaleStats>& scale : runs) rows.push_back(summarize(scale));
 
   util::Table table("solver & path-engine scaling");
   table.set_precision(3).header({"scale", "nodes", "edges", "busy", "cand",
-                                 "cold ms", "cold pivots", "cold ms/pivot",
-                                 "steady ms/cycle", "sync ms", "build ms",
+                                 "cold ms", "cold spread %", "cold pivots",
+                                 "cold ms/pivot", "steady ms/cycle",
+                                 "steady spread %", "sync ms", "build ms",
                                  "hit rate", "dirty resolves"});
   for (const ScaleStats& row : rows)
     table.row({row.label, static_cast<double>(row.nodes),
                static_cast<double>(row.edges), static_cast<double>(row.busy),
                static_cast<double>(row.candidates), row.cold_ms,
-               static_cast<double>(row.cold_pivots), row.cold_ms_per_pivot(),
-               row.steady_ms, row.steady_sync_ms, row.steady_build_ms,
-               row.hit_rate, static_cast<double>(row.dirty_resolves)});
+               100.0 * row.cold_spread, static_cast<double>(row.cold_pivots),
+               row.cold_ms_per_pivot(), row.steady_ms,
+               100.0 * row.steady_spread, row.steady_sync_ms,
+               row.steady_build_ms, row.hit_rate,
+               static_cast<double>(row.dirty_resolves)});
   bench::emit(table);
   write_json(rows, cycles);
 

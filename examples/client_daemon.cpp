@@ -203,6 +203,11 @@ int main(int argc, char** argv) {
         .count();
   };
   bool flushed = false;
+  // The latest offload chain that reached any node of this daemon. The
+  // streaming origin is often the busy node itself, which never hosts, so
+  // its own host trace alone would leave the batches untraced.
+  obs::TraceContext host_trace;
+  std::vector<obs::TraceContext> seen_host_trace(clients.size());
   while (wall_ms() < run_ms) {
     if (die_at_ms >= 0 && wall_ms() >= die_at_ms) {
       // Crash, don't shut down: skip every destructor so the kernel resets
@@ -211,8 +216,14 @@ int main(int argc, char** argv) {
     }
     if (streamer != nullptr && wall_ms() >= stream_delay_ms) {
       // Parent data-block batches under the latest offload chain that
-      // reached this host, so collector ingest joins the same fleet trace.
-      streamer->set_trace(clients.front()->last_host_trace());
+      // reached this daemon, so collector ingest joins the same fleet trace.
+      for (std::size_t c = 0; c < clients.size(); ++c) {
+        const obs::TraceContext trace = clients[c]->last_host_trace();
+        if (trace == seen_host_trace[c]) continue;
+        seen_host_trace[c] = trace;
+        host_trace = trace;
+      }
+      streamer->set_trace(host_trace);
       if (!flushed) {
         streamer->flush();
         flushed = true;

@@ -1,7 +1,11 @@
 #include "solver/transportation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -153,38 +157,84 @@ class TransportSimplex {
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  // Least-cost method: repeatedly allocate to the cheapest open cell. With a
-  // warm hint, previously-used cells are allocated first (cheapest first
-  // among them) so the start reproduces the prior basis structure wherever
-  // supplies/demands still admit it. Each allocation ships the smaller of
-  // its row's and column's remainders, which closes that row or column for
-  // good; so the cells it makes basic never close a cycle.
+  // Least-cost method: walk the cells in one total order and ship as much as
+  // each cell's row and column still allow. The real rows go first, in
+  // real_cell_order(); the dummy row goes last, in column order. Once the
+  // real rows have shipped, the dummy row's supply is exactly the capacity
+  // left over, so its allocations are forced: spare capacity is handed out
+  // only after every busy row has taken its cheapest cells, not before, as
+  // a zero-cost dummy row sorted by cost would. Each allocation ships the
+  // smaller of its row's and column's remainders, which closes that row or
+  // column for good; so the cells it makes basic never close a cycle.
   void least_cost_start() {
     basic_.assign(bal_.m * bal_.n, 0);
     slot_cell_.clear();
     slot_flow_.clear();
     std::vector<double> remaining_supply = bal_.supply;
     std::vector<double> remaining_demand = bal_.demand;
-    // Cells sorted by (warm priority, cost) once; skip exhausted rows/cols
-    // while scanning.
-    std::vector<std::size_t> order(bal_.m * bal_.n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-      if (warm_cells_ != nullptr && (*warm_cells_)[a] != (*warm_cells_)[b])
-        return (*warm_cells_)[a] > (*warm_cells_)[b];
-      return bal_.cost[a] < bal_.cost[b];
-    });
-    for (std::size_t cell : order) {
+    const auto allocate = [&](std::size_t cell) {
       const std::size_t i = cell / bal_.n;
       const std::size_t j = cell % bal_.n;
-      if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) continue;
+      if (remaining_supply[i] <= kEps || remaining_demand[j] <= kEps) return;
       const double quantity = std::min(remaining_supply[i], remaining_demand[j]);
       basic_[cell] = 1;
       slot_cell_.push_back(cell);
       slot_flow_.push_back(quantity);
       remaining_supply[i] -= quantity;
       remaining_demand[j] -= quantity;
+    };
+    const std::size_t real_cells =
+        (bal_.has_dummy ? bal_.m - 1 : bal_.m) * bal_.n;
+    for (const std::uint32_t cell : real_cell_order(real_cells)) allocate(cell);
+    for (std::size_t cell = real_cells; cell < bal_.m * bal_.n; ++cell)
+      allocate(cell);
+  }
+
+  // Order-preserving unsigned image of a cost: a non-negative double's bits
+  // with the sign bit set, a negative double's bits inverted (the IEEE sign
+  // flip), and -0.0 read as +0.0 so the two zeros tie.
+  static std::uint64_t cost_key(double cost) {
+    const auto bits = std::bit_cast<std::uint64_t>(cost == 0.0 ? 0.0 : cost);
+    return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+  }
+
+  // The first `cells` cells (the real rows) in the start's total order:
+  // warm-hinted cells first, then cost ascending, then cell index ascending
+  // (row-major, so busy order, then candidate order). A stable LSD radix
+  // sort over the 8-bit digits of cost_key, from cell order, settles cost
+  // and index; one stable partition then moves the warm cells to the front.
+  // O(cells), and the same permutation whatever standard library sorts.
+  [[nodiscard]] std::vector<std::uint32_t> real_cell_order(
+      std::size_t cells) const {
+    constexpr std::size_t kDigits = 8;
+    std::array<std::array<std::uint32_t, 256>, kDigits> count{};
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      const std::uint64_t key = cost_key(bal_.cost[cell]);
+      for (std::size_t d = 0; d < kDigits; ++d)
+        ++count[d][(key >> (8 * d)) & 0xff];
     }
+    std::vector<std::uint32_t> order(cells), spare(cells);
+    std::iota(order.begin(), order.end(), 0u);
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      auto& bucket = count[d];
+      // A digit every key shares leaves the order as it is.
+      if (std::find(bucket.begin(), bucket.end(), cells) != bucket.end())
+        continue;
+      std::uint32_t start = 0;
+      for (std::uint32_t& slot : bucket) start += std::exchange(slot, start);
+      for (const std::uint32_t cell : order)
+        spare[bucket[(cost_key(bal_.cost[cell]) >> (8 * d)) & 0xff]++] = cell;
+      order.swap(spare);
+    }
+    if (warm_cells_ != nullptr) {
+      const std::vector<char>& warm = *warm_cells_;
+      auto out = std::copy_if(order.begin(), order.end(), spare.begin(),
+                              [&warm](std::uint32_t cell) { return warm[cell]; });
+      std::copy_if(order.begin(), order.end(), out,
+                   [&warm](std::uint32_t cell) { return !warm[cell]; });
+      order.swap(spare);
+    }
+    return order;
   }
 
   // The basis must be a spanning tree on the bipartite row/col node set with
@@ -495,6 +545,16 @@ TransportationResult solve_impl(const TransportationView& problem,
     if (s < 0) throw std::invalid_argument("solve_transportation: negative supply");
   for (double c : problem.capacity)
     if (c < 0) throw std::invalid_argument("solve_transportation: negative capacity");
+  // The start orders cells by 32-bit index, and a NaN cost has no place in
+  // its order.
+  if (m * n > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("solve_transportation: too many cells");
+  double max_finite = 1.0;
+  for (double c : problem.cost) {
+    if (std::isnan(c))
+      throw std::invalid_argument("solve_transportation: NaN cost");
+    if (c != kInfinity) max_finite = std::max(max_finite, std::abs(c));
+  }
 
   TransportationResult result;
   const double total_supply =
@@ -523,9 +583,6 @@ TransportationResult solve_impl(const TransportationView& problem,
   if (bal.has_dummy) bal.supply.push_back(total_capacity - total_supply);
   bal.demand.assign(problem.capacity.begin(), problem.capacity.end());
   // Big-M: strictly dominates any finite objective.
-  double max_finite = 1.0;
-  for (double c : problem.cost)
-    if (c != kInfinity) max_finite = std::max(max_finite, std::abs(c));
   const double big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
   if (basis != nullptr) bal.cost = std::move(basis->cost);
   bal.cost.resize(bal.m * bal.n);
