@@ -12,6 +12,10 @@
 //                  (§III's "various network topologies"). Acceptance: the
 //                  cold build + solve completes (no OOM, no hour-long
 //                  enumeration); timing is recorded, not gated.
+//   churn-k16      the k=16 fat-tree in the shape of a fleet-churn cycle:
+//                  26 busy switches, 20 of them relieved and reporting
+//                  exactly Cmax (zero excess), against 205 candidates. The
+//                  cold solve's pivots and time are recorded, not gated.
 //
 // Fat-tree runs measure a churned steady state: cold first cycle, then
 // `cycles` jittered cycles served by the incremental machinery. Every scale
@@ -48,6 +52,7 @@ struct ScaleStats {
   std::size_t busy = 0;
   std::size_t candidates = 0;
   double cold_ms = 0.0;    ///< first full build + solve
+  double cold_solve_ms = 0.0;  ///< the solve of the cold cycle
   double cold_spread = 0.0;  ///< (q3 - q1) / median of cold_ms over reps
   std::size_t cold_pivots = 0;  ///< MODI pivots of the cold solve
   /// Cold cycle time over its pivots. The solve dominates the fat-tree
@@ -103,12 +108,22 @@ ScaleStats summarize(const std::vector<ScaleStats>& runs) {
   ScaleStats row = runs.front();
   std::tie(row.cold_ms, row.cold_spread) =
       median_and_spread(runs, &ScaleStats::cold_ms);
+  row.cold_solve_ms = median_and_spread(runs, &ScaleStats::cold_solve_ms).first;
   std::tie(row.steady_ms, row.steady_spread) =
       median_and_spread(runs, &ScaleStats::steady_ms);
   row.steady_sync_ms = median_and_spread(runs, &ScaleStats::steady_sync_ms).first;
   row.steady_build_ms =
       median_and_spread(runs, &ScaleStats::steady_build_ms).first;
   return row;
+}
+
+// The cold cycle's solve, its pivots and the instance's shape.
+void record_cold(const core::PlacementResult& result,
+                 const core::PlacementProblem& problem, ScaleStats& stats) {
+  stats.cold_pivots = result.solver_iterations;
+  stats.cold_solve_ms = result.solve_seconds * 1e3;
+  stats.busy = problem.busy.size();
+  stats.candidates = problem.candidates.size();
 }
 
 core::OptimizerOptions pipeline_options(net::ResponseTimeCache* cache,
@@ -142,10 +157,8 @@ ScaleStats run_fat_tree(std::uint32_t k, std::size_t cycles,
   util::Timer cold_timer;
   cache.begin_cycle(nmdb.network());
   core::PlacementProblem problem;
-  stats.cold_pivots = engine.run(nmdb, &problem).solver_iterations;
+  record_cold(engine.run(nmdb, &problem), problem, stats);
   stats.cold_ms = cold_timer.millis();
-  stats.busy = problem.busy.size();
-  stats.candidates = problem.candidates.size();
 
   double sync_ms = 0.0;
   double build_ms = 0.0;
@@ -203,10 +216,41 @@ ScaleStats run_random_100k(std::size_t node_count, std::size_t busy_count,
 
   util::Timer cold_timer;
   core::PlacementProblem problem;
-  stats.cold_pivots = engine.run(nmdb, &problem).solver_iterations;
+  record_cold(engine.run(nmdb, &problem), problem, stats);
   stats.cold_ms = cold_timer.millis();
-  stats.busy = problem.busy.size();
-  stats.candidates = problem.candidates.size();
+  return stats;
+}
+
+// One cold cycle on the k=16 fat-tree in fleet-churn's shape. Most busy rows
+// ship nothing: a relieved switch reports exactly Cmax and stays busy until
+// its episode ends.
+ScaleStats run_churn_shape(std::size_t busy_count, std::size_t relieved,
+                           std::size_t candidate_count) {
+  util::Rng rng(bench::base_seed());
+  core::Nmdb nmdb = bench::fat_tree_scenario(16, rng);
+  net::NetworkState& state = nmdb.network();
+  const core::Thresholds& thresholds = nmdb.default_thresholds();
+  std::vector<graph::NodeId> nodes(state.node_count());
+  for (graph::NodeId v = 0; v < state.node_count(); ++v) {
+    nodes[v] = v;
+    state.set_node_utilization(v, 70.0);  // neutral
+  }
+  rng.shuffle(nodes);
+  for (std::size_t i = 0; i < busy_count; ++i)
+    state.set_node_utilization(
+        nodes[i], i < relieved ? thresholds.c_max : rng.uniform(85.0, 95.0));
+  for (std::size_t i = busy_count; i < busy_count + candidate_count; ++i)
+    state.set_node_utilization(nodes[i], rng.uniform(30.0, 59.0));
+  const core::OptimizationEngine engine(pipeline_options(nullptr, 4));
+
+  ScaleStats stats;
+  stats.label = "churn-k16";
+  stats.nodes = state.node_count();
+  stats.edges = state.edge_count();
+  util::Timer cold_timer;
+  core::PlacementProblem problem;
+  record_cold(engine.run(nmdb, &problem), problem, stats);
+  stats.cold_ms = cold_timer.millis();
   return stats;
 }
 
@@ -226,6 +270,7 @@ void write_json(const std::vector<ScaleStats>& rows, std::size_t cycles) {
         ",cycles=" + std::to_string(cycles);
     json.add("cold_ms_per_cycle", row.cold_ms, "ms", config);
     json.add("cold_spread_pct", 100.0 * row.cold_spread, "%", config);
+    json.add("cold_solve_ms", row.cold_solve_ms, "ms", config);
     json.add("cold_pivots", static_cast<double>(row.cold_pivots), "count",
              config);
     json.add("cold_ms_per_pivot", row.cold_ms_per_pivot(), "ms", config);
@@ -262,18 +307,20 @@ int main() {
   const std::size_t reps = bench::iterations(15, 9);
   std::cout << "# repetitions: " << reps
             << " per scale, interleaved; timings are medians\n";
-  std::vector<std::vector<ScaleStats>> runs(3);
+  std::vector<std::vector<ScaleStats>> runs(4);
   for (std::size_t rep = 0; rep < reps; ++rep) {
     runs[0].push_back(run_fat_tree(16, cycles, 4));
     runs[1].push_back(run_fat_tree(32, cycles, 4));
     runs[2].push_back(run_random_100k(100000, 64, 2000));
+    runs[3].push_back(run_churn_shape(26, 20, 205));
   }
   std::vector<ScaleStats> rows;
   for (const std::vector<ScaleStats>& scale : runs) rows.push_back(summarize(scale));
 
   util::Table table("solver & path-engine scaling");
   table.set_precision(3).header({"scale", "nodes", "edges", "busy", "cand",
-                                 "cold ms", "cold spread %", "cold pivots",
+                                 "cold ms", "cold spread %", "cold solve ms",
+                                 "cold pivots",
                                  "cold ms/pivot", "steady ms/cycle",
                                  "steady spread %", "sync ms", "build ms",
                                  "hit rate", "dirty resolves"});
@@ -281,7 +328,8 @@ int main() {
     table.row({row.label, static_cast<double>(row.nodes),
                static_cast<double>(row.edges), static_cast<double>(row.busy),
                static_cast<double>(row.candidates), row.cold_ms,
-               100.0 * row.cold_spread, static_cast<double>(row.cold_pivots),
+               100.0 * row.cold_spread, row.cold_solve_ms,
+               static_cast<double>(row.cold_pivots),
                row.cold_ms_per_pivot(), row.steady_ms,
                100.0 * row.steady_spread, row.steady_sync_ms,
                row.steady_build_ms, row.hit_rate,

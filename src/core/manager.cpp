@@ -1,10 +1,9 @@
 #include "core/manager.hpp"
 
-#include "core/routes.hpp"
-
 #include <algorithm>
 #include <cmath>
 
+#include "graph/paths.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/span.hpp"
 #include "util/log.hpp"
@@ -278,11 +277,10 @@ std::size_t DustManager::run_placement_cycle() {
                   << ", nothing offloaded";
     return 0;
   }
-  // Resolve each assignment's controllable route for the request messages.
-  RouteOptions route_options;
-  route_options.max_hops = config_.optimizer.placement.max_hops;
-  const std::vector<ResolvedRoute> routes =
-      resolve_routes(nmdb_.network(), result.assignments, route_options);
+  // Each new offload's controllable route goes into its request messages.
+  // It is resolved only for the assignments that create one; the link
+  // costs are read once, for the first.
+  std::vector<double> inverse_costs;
 
   std::size_t created = 0;
   // One "solve" span per busy node per cycle, parented to that node's last
@@ -290,8 +288,7 @@ std::size_t DustManager::run_placement_cycle() {
   // multiple assignments from one busy node share the solve span.
   std::map<graph::NodeId, obs::TraceContext> solve_ctx;
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
-  for (std::size_t index = 0; index < result.assignments.size(); ++index) {
-    const Assignment& assignment = result.assignments[index];
+  for (const Assignment& assignment : result.assignments) {
     if (assignment.amount < config_.min_offload_amount_percent) continue;
     // One relationship per (busy, destination) pair; refresh amount if the
     // pair already exists.
@@ -344,13 +341,19 @@ std::size_t DustManager::run_placement_cycle() {
         registry, "offload_request", kManagerTrack, solve_it->second,
         sim_->now());
 
+    if (inverse_costs.empty())
+      inverse_costs = nmdb_.network().inverse_bandwidth_costs();
+    const graph::Path route = graph::hop_bounded_path(
+        nmdb_.network().graph(), assignment.from, assignment.to, inverse_costs,
+        config_.optimizer.placement.max_hops);
+
     ActiveOffload offload;
     offload.request_id = next_request_id_++;
     offload.busy = assignment.from;
     offload.destination = assignment.to;
     offload.amount = assignment.amount;
     offload.agents = agents_to_move;
-    offload.route = routes[index].primary.nodes;
+    offload.route = route.nodes;
     offload.trace = request_ctx;
     offload.requested_at = sim_->now();
     if (!destination_hosting(assignment.to))
@@ -368,7 +371,7 @@ std::size_t DustManager::run_placement_cycle() {
                               assignment.to,      assignment.amount,
                               agents_to_move,     {},
                               request_ctx};
-    request.route = routes[index].primary.nodes;
+    request.route = route.nodes;
     metrics_.tx_offload_request->inc(2);
     transport_->send(config_.endpoint, client_endpoint(assignment.from),
                      Message{request}, request_ctx.trace_id);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -18,17 +19,63 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-// Internal balanced instance: a dummy *source* row absorbs spare destination
-// capacity (zero cost), so every row supply ships fully and every column
-// receives exactly its capacity. Forbidden cells get big-M.
+// Internal balanced instance over the caller's live lines: the rows with
+// supply and the columns with capacity above kEps, in their order. A row or
+// column at or below kEps is closed before the least-cost start ships a unit,
+// and no pivot moves flow into it, so it is left out. A dummy *source* row
+// absorbs spare destination capacity (zero cost), so every row supply ships
+// fully and every column receives exactly its capacity. Forbidden cells get
+// big-M.
 struct Balanced {
-  std::size_t m = 0;  // rows including dummy
-  std::size_t n = 0;
+  std::size_t m = 0;  // live rows, plus the dummy
+  std::size_t n = 0;  // live columns
+  std::vector<std::uint32_t> rows;  // the caller's row of each real row
+  std::vector<std::uint32_t> cols;  // the caller's column of each column
   std::vector<double> supply;
   std::vector<double> demand;
   std::vector<double> cost;
   bool has_dummy = false;
 };
+
+// The one read of the caller's cost grid. Rejects a NaN in any cell (it has
+// no place in the start's order) and returns the largest finite |cost| (at
+// least 1) over every cell, so big-M does not depend on which lines are live.
+// The live cells (`rows` x `cols`) go to `out` row-major, from `out[0]`; the
+// index in `out` of each infinite one goes to `forbidden`, for big-M to be
+// written there once it is known.
+double gather_costs(const TransportationView& problem,
+                    std::span<const std::uint32_t> rows,
+                    std::span<const std::uint32_t> cols,
+                    std::vector<double>& out,
+                    std::vector<std::size_t>& forbidden) {
+  const std::size_t m = problem.supply.size();
+  const std::size_t n = problem.capacity.size();
+  double max_finite = 1.0;
+  bool nan = false;
+  std::size_t live = 0;  // rows gathered so far
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* row = problem.cost.data() + i * n;
+    std::size_t infinite = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double c = row[j];
+      nan |= std::isnan(c);
+      max_finite = std::max(max_finite, c != kInfinity ? std::abs(c) : 0.0);
+      infinite += c == kInfinity ? 1 : 0;
+    }
+    if (live == rows.size() || rows[live] != i) continue;
+    // The row is in cache now; gathering it reads the grid no further.
+    const std::size_t base = live++ * cols.size();
+    double* dst = out.data() + base;
+    if (cols.size() == n)
+      std::copy(row, row + n, dst);
+    else
+      for (std::size_t k = 0; k < cols.size(); ++k) dst[k] = row[cols[k]];
+    for (std::size_t k = 0; infinite != 0 && k < cols.size(); ++k)
+      if (dst[k] == kInfinity) forbidden.push_back(base + k);
+  }
+  if (nan) throw std::invalid_argument("solve_transportation: NaN cost");
+  return max_finite;
+}
 
 /// MODI / u-v transportation simplex over a balanced instance.
 ///
@@ -118,24 +165,27 @@ class TransportSimplex {
   /// Whether solve() resumed from the seeded basis.
   [[nodiscard]] bool resumed() const noexcept { return seeded_; }
 
-  /// Write the real rows' flows into `result` and price them at
-  /// `problem`'s costs, walking the basic cells (the only ones with flow) in
-  /// row-major order; the dummy row, if any, comes last. An optimum that
-  /// ships over a forbidden cell is infeasible; the grid then keeps the
-  /// flows of the cells before it.
+  /// Write the real rows' flows into `result`'s m*n grid of the caller's
+  /// lines (the lines left out get zeros) and price them at `problem`'s
+  /// costs, walking the basic cells (the only ones with flow) in row-major
+  /// order, which the live lines keep; the dummy row, if any, comes last. An
+  /// optimum that ships over a forbidden cell is infeasible; the grid then
+  /// keeps the flows of the cells before it.
   Status extract(const TransportationView& problem,
                  TransportationResult& result) {
-    const std::size_t cells = problem.cost.size();
+    const std::size_t real_cells = bal_.rows.size() * bal_.n;
     order_.resize(slot_cell_.size());
     std::iota(order_.begin(), order_.end(), 0);
     std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
       return slot_cell_[a] < slot_cell_[b];
     });
-    result.flow.assign(cells, 0.0);
+    result.flow.assign(problem.cost.size(), 0.0);
     double objective = 0.0;
     for (const std::size_t slot : order_) {
-      const std::size_t cell = slot_cell_[slot];
-      if (cell >= cells) break;
+      if (slot_cell_[slot] >= real_cells) break;
+      const std::size_t cell =
+          bal_.rows[slot_cell_[slot] / bal_.n] * problem.capacity.size() +
+          bal_.cols[slot_cell_[slot] % bal_.n];
       const double f = slot_flow_[slot];
       if (f > kEps && problem.cost[cell] == kInfinity)
         return Status::kInfeasible;  // needed a forbidden route
@@ -545,69 +595,78 @@ TransportationResult solve_impl(const TransportationView& problem,
     if (s < 0) throw std::invalid_argument("solve_transportation: negative supply");
   for (double c : problem.capacity)
     if (c < 0) throw std::invalid_argument("solve_transportation: negative capacity");
-  // The start orders cells by 32-bit index, and a NaN cost has no place in
-  // its order.
+  // The start orders cells by 32-bit index.
   if (m * n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("solve_transportation: too many cells");
-  double max_finite = 1.0;
-  for (double c : problem.cost) {
-    if (std::isnan(c))
-      throw std::invalid_argument("solve_transportation: NaN cost");
-    if (c != kInfinity) max_finite = std::max(max_finite, std::abs(c));
-  }
 
-  TransportationResult result;
+  Balanced bal;
+  for (std::size_t i = 0; i < m; ++i)
+    if (problem.supply[i] > kEps)
+      bal.rows.push_back(static_cast<std::uint32_t>(i));
+  for (std::size_t j = 0; j < n; ++j)
+    if (problem.capacity[j] > kEps)
+      bal.cols.push_back(static_cast<std::uint32_t>(j));
+  // Feasibility, the dummy row and big-M are judged on the whole problem.
   const double total_supply =
       std::accumulate(problem.supply.begin(), problem.supply.end(), 0.0);
   const double total_capacity =
       std::accumulate(problem.capacity.begin(), problem.capacity.end(), 0.0);
-  if (m == 0 || total_supply <= kEps) {
-    // Nothing to ship: trivially optimal at zero.
+  const bool nothing_to_ship = m == 0 || total_supply <= kEps;
+  const bool infeasible =
+      !nothing_to_ship && (n == 0 || total_supply > total_capacity + kEps);
+  TransportationResult result;
+  std::vector<std::size_t> forbidden;
+  if (nothing_to_ship || infeasible || bal.rows.empty() || bal.cols.empty()) {
+    // No live cell: trivially optimal at zero, unless the supply cannot fit.
+    // The costs are still checked.
+    gather_costs(problem, {}, {}, bal.cost, forbidden);
     if (basis != nullptr) basis->valid = false;
-    result.status = Status::kOptimal;
-    result.flow.assign(m * n, 0.0);
-    return result;
-  }
-  if (n == 0 || total_supply > total_capacity + kEps) {
-    if (basis != nullptr) basis->valid = false;
-    result.status = Status::kInfeasible;
+    result.status = infeasible ? Status::kInfeasible : Status::kOptimal;
     result.flow.assign(m * n, 0.0);
     return result;
   }
 
-  Balanced bal;
   bal.has_dummy = total_capacity > total_supply + kEps;
-  bal.m = m + (bal.has_dummy ? 1 : 0);
-  bal.n = n;
-  bal.supply.assign(problem.supply.begin(), problem.supply.end());
+  bal.m = bal.rows.size() + (bal.has_dummy ? 1 : 0);
+  bal.n = bal.cols.size();
+  for (const std::uint32_t i : bal.rows)
+    bal.supply.push_back(problem.supply[i]);
   if (bal.has_dummy) bal.supply.push_back(total_capacity - total_supply);
-  bal.demand.assign(problem.capacity.begin(), problem.capacity.end());
-  // Big-M: strictly dominates any finite objective.
-  const double big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
+  for (const std::uint32_t j : bal.cols)
+    bal.demand.push_back(problem.capacity[j]);
   if (basis != nullptr) bal.cost = std::move(basis->cost);
   bal.cost.resize(bal.m * bal.n);
-  for (std::size_t cell = 0; cell < m * n; ++cell)
-    bal.cost[cell] = problem.cost[cell] == kInfinity ? big_m : problem.cost[cell];
-  std::fill(bal.cost.begin() + static_cast<std::ptrdiff_t>(m * n),
+  const double max_finite =
+      gather_costs(problem, bal.rows, bal.cols, bal.cost, forbidden);
+  // Big-M: strictly dominates any finite objective.
+  const double big_m = max_finite * 1e6 * static_cast<double>(m + n) + 1e6;
+  for (const std::size_t cell : forbidden) bal.cost[cell] = big_m;
+  const std::size_t real_cells = bal.rows.size() * bal.n;
+  std::fill(bal.cost.begin() + static_cast<std::ptrdiff_t>(real_cells),
             bal.cost.end(), 0.0);  // dummy row
 
   // Dirty-basis eligibility: the retained basis must come from the *same*
-  // balanced instance modulo costs — identical shape and bit-identical
-  // supplies/capacities. Basic flows satisfy the supply/demand constraints
-  // regardless of costs, so the old basis is primal-feasible here and MODI
-  // can resume from it directly.
+  // balanced instance modulo costs — the same live lines and bit-identical
+  // supplies/capacities on them. Basic flows satisfy the supply/demand
+  // constraints regardless of costs, so the old basis is primal-feasible
+  // here and MODI can resume from it directly.
   const bool dirty = basis != nullptr && basis->valid && basis->m == bal.m &&
-                     basis->n == bal.n && basis->supply == bal.supply &&
+                     basis->n == bal.n && basis->rows == bal.rows &&
+                     basis->cols == bal.cols && basis->supply == bal.supply &&
                      basis->demand == bal.demand;
 
-  // Translate the warm flow grid (real rows only) into balanced-instance
-  // cell priorities; the dummy row, when present, stays unprioritized.
+  // Translate the warm flow grid (the caller's real rows) into balanced
+  // cell priorities on the live lines; the dummy row, when present, stays
+  // unprioritized.
   std::vector<char> warm_cells;
   if (!dirty && warm_flow != nullptr && warm_flow->size() == m * n) {
     warm_cells.assign(bal.m * bal.n, 0);
-    for (std::size_t cell = 0; cell < m * n; ++cell)
-      if ((*warm_flow)[cell] > kEps && problem.cost[cell] != kInfinity)
+    for (std::size_t cell = 0; cell < real_cells; ++cell) {
+      const std::size_t full =
+          bal.rows[cell / bal.n] * n + bal.cols[cell % bal.n];
+      if ((*warm_flow)[full] > kEps && problem.cost[full] != kInfinity)
         warm_cells[cell] = 1;  // never prioritize a now-forbidden route
+    }
   }
   TransportSimplex simplex(bal, warm_cells.empty() ? nullptr : &warm_cells);
   if (basis != nullptr)
@@ -626,6 +685,8 @@ TransportationResult solve_impl(const TransportationView& problem,
     basis->valid = result.optimal();
     basis->m = bal.m;
     basis->n = bal.n;
+    basis->rows = std::move(bal.rows);
+    basis->cols = std::move(bal.cols);
     basis->supply = std::move(bal.supply);
     basis->demand = std::move(bal.demand);
     simplex.release_basis(basis->basic, basis->cells, basis->flows);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -74,18 +75,26 @@ struct TransportationResult {
 /// small cost/quantity perturbations. The hint only biases the starting
 /// basis — any hint (even a wrong one) still converges to the exact optimum.
 /// Mismatched sizes are ignored.
+///
+/// A row with supply, or a column with capacity, at or below 1e-9 ships
+/// nothing: the solve runs on the other lines only and reports zero flow on
+/// these. Every cell is still checked for NaN and counts toward big-M.
 TransportationResult solve_transportation(
     TransportationView problem, const std::vector<double>* warm_flow = nullptr);
 
 /// Retained simplex state for dirty-basis re-solves (DESIGN.md §13): the
 /// balanced instance's basis tree and flows as they stood at the end of an
-/// optimal solve. Treat the contents as opaque; default-construct once and
-/// hand the same object to successive solve_transportation_dirty calls.
-/// Every solve through it reuses its m*n buffers, valid or not.
+/// optimal solve. The balanced instance holds only the live lines: rows with
+/// supply and columns with capacity above 1e-9. Treat the contents as
+/// opaque; default-construct once and hand the same object to successive
+/// solve_transportation_dirty calls. Every solve through it reuses its m*n
+/// buffers, valid or not.
 struct TransportationBasis {
   bool valid = false;
   std::size_t m = 0;  ///< balanced rows (includes the dummy row if present)
   std::size_t n = 0;
+  std::vector<std::uint32_t> rows;  ///< the problem's live rows, ascending
+  std::vector<std::uint32_t> cols;  ///< the problem's live columns, ascending
   std::vector<double> supply;  ///< balanced quantities the basis solved under
   std::vector<double> demand;
   std::vector<char> basic;   ///< balanced m*n basis membership
@@ -95,13 +104,14 @@ struct TransportationBasis {
 };
 
 /// Dirty-basis re-solve: when `basis` holds the previous solve's state and
-/// this problem differs from that one in *cost cells only* (same shape, same
-/// supplies, same destination capacities), MODI resumes directly from the
-/// retained basis — the old basic flows stay primal-feasible under any cost
-/// change, so only the potentials move and re-optimization takes near-zero
-/// pivots when few cells changed. `result.dirty_resolve` reports whether the
-/// fast path was taken. Any mismatch (quantities moved, shape changed, basis
-/// not yet populated) falls back transparently: `warm_flow` is used as a
+/// this problem differs from that one in *cost cells only* (same live rows
+/// and columns, same supplies and destination capacities on them), MODI
+/// resumes directly from the retained basis — the old basic flows stay
+/// primal-feasible under any cost change, so only the potentials move and
+/// re-optimization takes near-zero pivots when few cells changed.
+/// `result.dirty_resolve` reports whether the fast path was taken. Any
+/// mismatch (quantities moved, a line turned live or inert, basis not yet
+/// populated) falls back transparently: `warm_flow` is used as a
 /// start hint exactly as in solve_transportation. On every optimal exit the
 /// basis is refreshed for the next call; on failure it is invalidated.
 TransportationResult solve_transportation_dirty(

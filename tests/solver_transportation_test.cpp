@@ -6,10 +6,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "solver/min_cost_flow.hpp"
@@ -376,35 +378,45 @@ FleetInstance fleet_instance(std::uint64_t seed, bool large) {
   return fleet;
 }
 
+// Solves `p` by successive shortest paths on its bipartite network and
+// checks `r` against it: the same verdict, the objective to 1e-9 relative,
+// and a flow that ships every supply within every capacity.
+void expect_matches_min_cost_flow(const TransportationProblem& p,
+                                  const TransportationResult& r) {
+  const std::size_t m = p.sources(), n = p.destinations();
+  MinCostFlow mcf(m + n + 2);
+  const std::size_t source = m + n, sink = m + n + 1;
+  for (std::size_t i = 0; i < m; ++i) mcf.add_arc(source, i, p.supply[i], 0.0);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (p.cost[i * n + j] != kInfinity)
+        mcf.add_arc(i, m + j, kInfinity, p.cost[i * n + j]);
+  for (std::size_t j = 0; j < n; ++j)
+    mcf.add_arc(m + j, sink, p.capacity[j], 0.0);
+  const MinCostFlow::FlowResult flow = mcf.solve(source, sink);
+  const double total_supply =
+      std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  const bool mcf_feasible = flow.max_flow >= total_supply - 1e-6;
+
+  ASSERT_EQ(r.optimal(), mcf_feasible);
+  if (!mcf_feasible) return;
+  EXPECT_NEAR(r.objective, flow.total_cost, 1e-9 * flow.total_cost);
+  for (std::size_t i = 0; i < m; ++i)
+    EXPECT_NEAR(row_sum(r, i, n), p.supply[i], 1e-9);
+  for (std::size_t j = 0; j < n; ++j)
+    EXPECT_LE(col_sum(r, j, m, n), p.capacity[j] + 1e-9);
+}
+
 TEST(TransportationFleetScale, ObjectiveMatchesMinCostFlow) {
   for (std::uint64_t seed = 1; seed <= 21; ++seed) {
     const bool large = seed == 21;
     SCOPED_TRACE("seed " + std::to_string(seed));
     const FleetInstance fleet = fleet_instance(seed, large);
     const TransportationProblem& p = fleet.problem;
-    const std::size_t m = p.sources(), n = p.destinations();
-    if (large) ASSERT_GT(m * n, std::size_t{1} << 16);
-    const TransportationResult r = solve_transportation(p);
-
-    MinCostFlow mcf(m + n + 2);
-    const std::size_t source = m + n, sink = m + n + 1;
-    for (std::size_t i = 0; i < m; ++i) mcf.add_arc(source, i, p.supply[i], 0.0);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        if (p.cost[i * n + j] != kInfinity)
-          mcf.add_arc(i, m + j, kInfinity, p.cost[i * n + j]);
-    for (std::size_t j = 0; j < n; ++j)
-      mcf.add_arc(m + j, sink, p.capacity[j], 0.0);
-    const MinCostFlow::FlowResult flow = mcf.solve(source, sink);
-    const bool mcf_feasible = flow.max_flow >= fleet.total_supply - 1e-6;
-
-    ASSERT_EQ(r.optimal(), mcf_feasible);
-    if (!mcf_feasible) continue;
-    EXPECT_NEAR(r.objective, flow.total_cost, 1e-9 * flow.total_cost);
-    for (std::size_t i = 0; i < m; ++i)
-      EXPECT_NEAR(row_sum(r, i, n), p.supply[i], 1e-9);
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_LE(col_sum(r, j, m, n), p.capacity[j] + 1e-9);
+    if (large) {
+      ASSERT_GT(p.sources() * p.destinations(), std::size_t{1} << 16);
+    }
+    expect_matches_min_cost_flow(p, solve_transportation(p));
   }
 }
 
@@ -414,7 +426,10 @@ TEST(TransportationFleetScale, ObjectiveMatchesMinCostFlow) {
 // are pinned. The path pins were recorded from the tree-indexed MODI behind
 // the radix-ordered least-cost start (real rows in (cost, cell) order, the
 // dummy row last), so they prove the pivot sequence repeats bit for bit.
-// Each case also keeps `reference_objective_bits`, the objective the
+// kTies' zero rows and columns are left out of the solve, so its iterations
+// were re-pinned then (its objectives and flows did not move); with them
+// gone it no longer switches to Bland's rule, and kStall does, with every
+// line live. Each case also keeps `reference_objective_bits`, the objective the
 // original dense-grid MODI reached from an introsort-ordered start with the
 // dummy row first: the new path must reach the same optimum, to within
 // rounding (1e-12 relative; the sums differ by at most a few hundred ULP).
@@ -425,6 +440,7 @@ enum class Family {
   kForbidden,  // ~30% forbidden (big-M) cells; seed 8 is infeasible
   kDummy,      // capacity far above supply: a wide dummy row
   kDirty,      // cost-only perturbation re-solved from the retained basis
+  kStall,      // stall_instance(seed blocks, 5 * (seed - 1) spare columns)
 };
 
 struct Pin {
@@ -494,10 +510,56 @@ TransportationProblem pinned_instance(Family family, util::Rng& rng) {
   return p;
 }
 
+// The 12 x 12 block of stall_instance: integer costs, 1 on the diagonal.
+// A local search over the off-diagonal costs found it, maximizing Dantzig
+// pivots on the unit assignment problem.
+constexpr int kStallBlock[12][12] = {
+    {1, 7, 20, 31, 16, 31, 13, 20, 9, 21, 31, 20},
+    {25, 1, 6, 13, 21, 14, 2, 21, 2, 25, 22, 7},
+    {17, 2, 1, 4, 13, 20, 14, 17, 6, 18, 4, 15},
+    {9, 22, 19, 1, 18, 28, 26, 21, 4, 4, 5, 17},
+    {18, 16, 16, 15, 1, 31, 13, 6, 14, 21, 15, 19},
+    {31, 2, 3, 30, 6, 1, 2, 19, 9, 18, 12, 7},
+    {22, 5, 2, 28, 5, 8, 1, 2, 15, 19, 27, 27},
+    {11, 18, 6, 2, 16, 23, 24, 1, 4, 9, 30, 18},
+    {20, 2, 21, 27, 5, 17, 2, 14, 1, 2, 31, 4},
+    {15, 10, 3, 9, 6, 2, 2, 6, 5, 1, 22, 15},
+    {2, 3, 24, 10, 10, 29, 15, 12, 17, 2, 1, 2},
+    {13, 2, 9, 2, 2, 22, 11, 2, 2, 3, 31, 1}};
+
+// Exact ties with every line live: each supply and capacity is 1, so the
+// least-cost start takes the unique optimum (the block diagonals, cost 1
+// each) and every pivot is degenerate. `blocks` copies of kStallBlock sit
+// on the diagonal; row 0 reaches the other copies at 1000 plus the block's
+// row 0, every other cell costs 10000, and `spare` extra columns at 10000
+// make a dummy row. The start hangs every copy from row 0 as the lone block
+// hangs from its own row 0, so each copy stalls for about 40 pivots: the
+// streak outgrows m + n and the solve switches to Bland's rule.
+TransportationProblem stall_instance(std::size_t blocks, std::size_t spare) {
+  constexpr std::size_t kSide = 12;
+  const std::size_t m = blocks * kSide, n = m + spare;
+  TransportationProblem p;
+  p.supply.assign(m, 1.0);
+  p.capacity.assign(n, 1.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double c = 10000.0;
+      if (j < m && i / kSide == j / kSide)
+        c = kStallBlock[i % kSide][j % kSide];
+      else if (j < m && i == 0)
+        c = 1000.0 + kStallBlock[0][j % kSide];
+      p.cost.push_back(c);
+    }
+  }
+  return p;
+}
+
 // Solves one pinned case and reports what it pins.
 Pin observe(Family family, std::uint64_t seed) {
   util::Rng rng(seed);
-  TransportationProblem p = pinned_instance(family, rng);
+  TransportationProblem p = family == Family::kStall
+                                ? stall_instance(seed, 5 * (seed - 1))
+                                : pinned_instance(family, rng);
   TransportationResult r;
   if (family == Family::kDirty) {
     TransportationBasis basis;
@@ -534,16 +596,16 @@ constexpr Pin kPins[] = {
   {Family::kRandom, 8, Status::kOptimal, false, 0, 0x4080de6f20766891ULL, 0x4080de6f20766891ULL, 0xd3e1e20425fd9676ULL},
   {Family::kRandom, 9, Status::kOptimal, false, 9, 0x404c8a6169f1c2f9ULL, 0x404c8a6169f1c2f8ULL, 0x89e7055e8fdb75c0ULL},
   {Family::kRandom, 10, Status::kOptimal, false, 0, 0x3ff9fad57e060e26ULL, 0x3ff9fad57e060e3fULL, 0xabfb81d084adcac9ULL},
-  {Family::kTies, 1, Status::kOptimal, false, 16, 0x402a000000000000ULL, 0x402a000000000000ULL, 0x31d8eedda4cecdb5ULL},
-  {Family::kTies, 2, Status::kOptimal, false, 11, 0x402e000000000000ULL, 0x402e000000000000ULL, 0x723995069ff4d6dfULL},
-  {Family::kTies, 3, Status::kOptimal, false, 16, 0x4031000000000000ULL, 0x4031000000000000ULL, 0xba33fc343753559dULL},
-  {Family::kTies, 4, Status::kOptimal, false, 5, 0x4018000000000000ULL, 0x4018000000000000ULL, 0x68bb38c6cf34ac55ULL},
-  {Family::kTies, 5, Status::kOptimal, false, 7, 0x402e000000000000ULL, 0x402e000000000000ULL, 0x32afce200093c9edULL},
-  {Family::kTies, 6, Status::kOptimal, false, 18, 0x4031000000000000ULL, 0x4031000000000000ULL, 0x03d8eedda4cecdb5ULL},
-  {Family::kTies, 1386, Status::kOptimal, true, 24, 0x4014000000000000ULL, 0x4014000000000000ULL, 0x5820c5f14c7cf157ULL},
-  {Family::kTies, 1417, Status::kOptimal, false, 43, 0x4026000000000000ULL, 0x4026000000000000ULL, 0x6368f3f57b84445fULL},
-  {Family::kTies, 1975, Status::kOptimal, true, 16, 0x4018000000000000ULL, 0x4018000000000000ULL, 0x61d4ea71af95ef15ULL},
-  {Family::kTies, 2084, Status::kOptimal, false, 13, 0x4020000000000000ULL, 0x4020000000000000ULL, 0x527519d78418065dULL},
+  {Family::kTies, 1, Status::kOptimal, false, 4, 0x402a000000000000ULL, 0x402a000000000000ULL, 0x31d8eedda4cecdb5ULL},
+  {Family::kTies, 2, Status::kOptimal, false, 2, 0x402e000000000000ULL, 0x402e000000000000ULL, 0x723995069ff4d6dfULL},
+  {Family::kTies, 3, Status::kOptimal, false, 10, 0x4031000000000000ULL, 0x4031000000000000ULL, 0xba33fc343753559dULL},
+  {Family::kTies, 4, Status::kOptimal, false, 2, 0x4018000000000000ULL, 0x4018000000000000ULL, 0x68bb38c6cf34ac55ULL},
+  {Family::kTies, 5, Status::kOptimal, false, 4, 0x402e000000000000ULL, 0x402e000000000000ULL, 0x32afce200093c9edULL},
+  {Family::kTies, 6, Status::kOptimal, false, 10, 0x4031000000000000ULL, 0x4031000000000000ULL, 0x03d8eedda4cecdb5ULL},
+  {Family::kTies, 1386, Status::kOptimal, false, 0, 0x4014000000000000ULL, 0x4014000000000000ULL, 0x5820c5f14c7cf157ULL},
+  {Family::kTies, 1417, Status::kOptimal, false, 10, 0x4026000000000000ULL, 0x4026000000000000ULL, 0x6368f3f57b84445fULL},
+  {Family::kTies, 1975, Status::kOptimal, false, 0, 0x4018000000000000ULL, 0x4018000000000000ULL, 0x61d4ea71af95ef15ULL},
+  {Family::kTies, 2084, Status::kOptimal, false, 1, 0x4020000000000000ULL, 0x4020000000000000ULL, 0x527519d78418065dULL},
   {Family::kForbidden, 1, Status::kOptimal, false, 0, 0x4043a0fc5938feadULL, 0x4043a0fc5938feadULL, 0x962d5835222532f2ULL},
   {Family::kForbidden, 2, Status::kOptimal, false, 0, 0x403d785b088a1078ULL, 0x403d785b088a107aULL, 0x1fa2b3e8aee2ab30ULL},
   {Family::kForbidden, 3, Status::kOptimal, false, 2, 0x404313d1d42bff30ULL, 0x404313d1d42bff32ULL, 0x71e566611f8d7a3dULL},
@@ -564,6 +626,8 @@ constexpr Pin kPins[] = {
   {Family::kDirty, 5, Status::kOptimal, false, 11, 0x4035a839b41e3d81ULL, 0x4035a839b41e3d87ULL, 0xa88e10de107250b8ULL},
   {Family::kDirty, 6, Status::kOptimal, false, 3, 0x4022ed3012702e6eULL, 0x4022ed3012702e6eULL, 0x136353a83363962dULL},
   {Family::kDirty, 7, Status::kOptimal, false, 30, 0x405060fbdbc03ea5ULL, 0x405060fbdbc03ea5ULL, 0x3bed98fcc7cfa895ULL},
+  {Family::kStall, 1, Status::kOptimal, true, 47, 0x4028000000000000ULL, 0x4028000000000000ULL, 0xf632669a74fcae65ULL},
+  {Family::kStall, 2, Status::kOptimal, true, 77, 0x4038000000000000ULL, 0x4038000000000000ULL, 0x4dce1f6ad0b29785ULL},
 };
 // clang-format on
 
@@ -581,7 +645,7 @@ TEST(TransportationPinned, PivotPathsMatchDenseReference) {
     EXPECT_EQ(got.flow_digest, pin.flow_digest);
     if (got.bland_fallback) ++bland_cases;
   }
-  // The degenerate-tie family must exercise the switch to Bland's rule.
+  // The stalling family must exercise the switch to Bland's rule.
   EXPECT_GE(bland_cases, 1u);
 }
 
@@ -589,17 +653,18 @@ TEST(TransportationPinned, PivotPathsMatchDenseReference) {
 //
 // The same pins on instances of at least 200 x 400 cells, where pricing, the
 // potentials update and the dirty-basis resume carry real weight: fabric-like
-// quantized costs, forbidden cells, integer ties that switch to Bland's rule,
-// near-diagonal costs whose basis is a deep path-like tree (depth above 200,
+// quantized costs, forbidden cells, integer ties, tiled stalls that switch
+// to Bland's rule, near-diagonal costs whose basis is a deep path-like tree (depth above 200,
 // where the quantized family's stays near 40), and chains of dirty re-solves
 // (one round of each chain changes a supply and so restarts cold on the
 // retained buffers). The reference objectives were recorded from the solver
 // that priced every cell in its scalar loop, walked the whole tree for
 // potentials after every pivot, re-indexed a retained basis by scanning the
 // m*n grid and started from an introsort-ordered, dummy-row-first start.
-// Under the radix-ordered start kTies seed 10 no longer degenerates into
-// Bland's rule, so kTies seeds 1 and 3, which do, keep two Bland cases in
-// the table.
+// kTies' instances are mostly zero rows and columns, which the solve leaves
+// out; on the live lines that remain none of them switches to Bland's rule,
+// so the two kStall tilings keep two Bland cases in the table. Their
+// reference objectives are the exact optimum (one unit per row at cost 1).
 
 enum class Large {
   kQuantized,       // costs on a 0.25 grid, slack capacity (dummy row)
@@ -608,6 +673,7 @@ enum class Large {
   kStaircase,       // costs grow with the distance from the diagonal
   kDirty,           // kQuantized, then four re-solve rounds
   kDirtyStaircase,  // kStaircase, then four re-solve rounds
+  kStall,           // stall_instance(34, 40 * (seed - 1))
 };
 
 TransportationProblem large_instance(Large family, util::Rng& rng) {
@@ -660,7 +726,9 @@ struct LargePin {
 
 LargePin observe_large(Large family, std::uint64_t seed) {
   util::Rng rng(seed);
-  TransportationProblem p = large_instance(family, rng);
+  TransportationProblem p = family == Large::kStall
+                                ? stall_instance(34, 40 * (seed - 1))
+                                : large_instance(family, rng);
   LargePin got{family, seed, false, 0, 0, 0, 0};
   const auto record = [&got](const TransportationResult& r) {
     EXPECT_EQ(r.status, Status::kOptimal);
@@ -700,15 +768,17 @@ constexpr LargePin kLargePins[] = {
   {Large::kQuantized, 1, false, 0, 0x4073bf2fe31de002ULL, 0x4073bf2fe31ddffcULL, 0x5eafa8419f4bd160ULL},
   {Large::kQuantized, 2, false, 0, 0x4071c3af8499e312ULL, 0x4071c3af8499e314ULL, 0xa69bf17430fcb028ULL},
   {Large::kForbidden, 1, false, 0, 0x4073bf2fe31de001ULL, 0x4073bf2fe31ddffaULL, 0x00801deaa9e2b7cfULL},
-  {Large::kTies, 8, true, 1659, 0x404a000000000000ULL, 0x404a000000000000ULL, 0x151574a6c931daadULL},
-  {Large::kTies, 10, false, 704, 0x404d000000000000ULL, 0x404d000000000000ULL, 0x724dac6dbe471557ULL},
-  {Large::kTies, 1, true, 1254, 0x4046000000000000ULL, 0x4046000000000000ULL, 0x10978ac26f640dadULL},
-  {Large::kTies, 3, true, 1455, 0x4048800000000000ULL, 0x4048800000000000ULL, 0x023af1458d6d1ea5ULL},
+  {Large::kTies, 8, false, 32, 0x404a000000000000ULL, 0x404a000000000000ULL, 0x151574a6c931daadULL},
+  {Large::kTies, 10, false, 42, 0x404d000000000000ULL, 0x404d000000000000ULL, 0x724dac6dbe471557ULL},
+  {Large::kTies, 1, false, 37, 0x4046000000000000ULL, 0x4046000000000000ULL, 0x10978ac26f640dadULL},
+  {Large::kTies, 3, false, 24, 0x4048800000000000ULL, 0x4048800000000000ULL, 0x023af1458d6d1ea5ULL},
   {Large::kStaircase, 1, false, 702, 0x40267bdfde196f4aULL, 0x40267bdfde196f4bULL, 0x9b16d516a9c798c5ULL},
   {Large::kStaircase, 2, false, 1547, 0x402ece49adc80a02ULL, 0x402ece49adc80b94ULL, 0x4887e7ccf3a476d3ULL},
   {Large::kDirty, 1, false, 80, 0x4073bb506a58f255ULL, 0x4073bb506a58f259ULL, 0xb6a113a41f32210cULL},
   {Large::kDirty, 2, false, 41, 0x4071c149c74c5477ULL, 0x4071c149c74c547aULL, 0x98613c1092461506ULL},
   {Large::kDirtyStaircase, 1, false, 1357, 0x402672ac3b67b77eULL, 0x402672ac3b67b77fULL, 0x97ca105aa749f441ULL},
+  {Large::kStall, 1, true, 1329, 0x4079800000000000ULL, 0x4079800000000000ULL, 0xe9d20adafba6d025ULL},
+  {Large::kStall, 2, true, 1305, 0x4079800000000000ULL, 0x4079800000000000ULL, 0x289337df7168eb25ULL},
 };
 // clang-format on
 
@@ -728,12 +798,190 @@ TEST(TransportationPinned, LargePivotPathsMatchReference) {
   EXPECT_GE(bland_cases, 2u);
 }
 
+// ---- Inert lines ----------------------------------------------------------
+//
+// A row with supply, or a column with capacity, at or below 1e-9 ships
+// nothing, and the solve leaves it out. Each case below holds such lines
+// between live ones.
+
+// Zeroes about `row_share` of the rows' supplies and `col_share` of the
+// columns' capacities (never all rows), keeping the instance feasible.
+void make_inert(TransportationProblem& p, util::Rng& rng, double row_share,
+                double col_share) {
+  for (double& s : p.supply)
+    if (rng.uniform() < row_share) s = 0.0;
+  if (std::all_of(p.supply.begin(), p.supply.end(),
+                  [](double s) { return s == 0.0; }))
+    p.supply[rng.below(p.supply.size())] = 1.0;
+  double spare = std::accumulate(p.capacity.begin(), p.capacity.end(), 0.0) -
+                 std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  for (double& c : p.capacity) {
+    if (rng.uniform() >= col_share || c > spare) continue;
+    spare -= c;
+    c = 0.0;
+  }
+}
+
+// The instance with its inert lines cut out, as a caller would write it.
+TransportationProblem compressed(const TransportationProblem& p,
+                                 std::vector<std::size_t>& rows,
+                                 std::vector<std::size_t>& cols) {
+  const std::size_t n = p.destinations();
+  for (std::size_t i = 0; i < p.sources(); ++i)
+    if (p.supply[i] > 1e-9) rows.push_back(i);
+  for (std::size_t j = 0; j < n; ++j)
+    if (p.capacity[j] > 1e-9) cols.push_back(j);
+  TransportationProblem q;
+  for (const std::size_t i : rows) q.supply.push_back(p.supply[i]);
+  for (const std::size_t j : cols) q.capacity.push_back(p.capacity[j]);
+  for (const std::size_t i : rows)
+    for (const std::size_t j : cols) q.cost.push_back(p.cost[i * n + j]);
+  return q;
+}
+
+TEST(TransportationInert, SameSolveAsHandCompressedInstance) {
+  std::size_t inert_rows = 0, inert_cols = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    // Finite costs only: big-M is priced from the whole grid, so with
+    // forbidden cells the two instances would differ in it.
+    TransportationProblem p = pinned_instance(
+        seed % 3 == 0 ? Family::kTies : seed % 3 == 1 ? Family::kRandom
+                                                      : Family::kDummy,
+        rng);
+    make_inert(p, rng, 0.3, 0.2);
+    std::vector<std::size_t> rows, cols;
+    const TransportationProblem q = compressed(p, rows, cols);
+    inert_rows += p.sources() - rows.size();
+    inert_cols += p.destinations() - cols.size();
+
+    const TransportationResult full = solve_transportation(p);
+    const TransportationResult cut = solve_transportation(q);
+    ASSERT_EQ(full.status, cut.status);
+    EXPECT_EQ(full.iterations, cut.iterations);
+    EXPECT_EQ(full.bland_fallback, cut.bland_fallback);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(full.objective),
+              std::bit_cast<std::uint64_t>(cut.objective));
+    std::vector<double> expanded(p.cost.size(), 0.0);
+    for (std::size_t a = 0; a < rows.size(); ++a)
+      for (std::size_t b = 0; b < cols.size(); ++b)
+        expanded[rows[a] * p.destinations() + cols[b]] =
+            cut.flow[a * cols.size() + b];
+    EXPECT_EQ(full.flow, expanded);
+  }
+  EXPECT_GT(inert_rows, 20u);
+  EXPECT_GT(inert_cols, 20u);
+}
+
+TEST(TransportationInert, NaNInInertLineThrows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TransportationProblem p;
+  p.supply = {0.0, 2.0};
+  p.capacity = {3.0, 3.0};
+  p.cost = {nan, 1.0,
+            1.0, 2.0};
+  EXPECT_THROW(solve_transportation(p), std::invalid_argument);
+  p.supply = {1.0, 2.0};
+  p.capacity = {3.0, 0.0};
+  p.cost = {1.0, 1.0,
+            2.0, nan};
+  EXPECT_THROW(solve_transportation(p), std::invalid_argument);
+  TransportationBasis basis;
+  EXPECT_THROW(solve_transportation_dirty(p, basis), std::invalid_argument);
+}
+
+TEST(TransportationInert, AllRowsInertIsOptimalAtZero) {
+  TransportationProblem p;
+  p.supply = {0.0, 5e-10, 0.0};
+  p.capacity = {4.0, 0.0};
+  p.cost = {1.0, kInfinity,
+            kInfinity, 2.0,
+            3.0, 1.0};
+  TransportationBasis basis;
+  const TransportationResult r = solve_transportation_dirty(p, basis);
+  EXPECT_EQ(r.status, Status::kOptimal);
+  EXPECT_EQ(r.objective, 0.0);
+  EXPECT_EQ(r.iterations, 0u);
+  EXPECT_EQ(r.flow, std::vector<double>(6, 0.0));
+  EXPECT_FALSE(basis.valid);
+}
+
+// Supply just above 1e-9 keeps a row live; the row's supply must ship.
+TEST(TransportationInert, LineJustAboveThresholdShips) {
+  TransportationProblem p;
+  p.supply = {2e-9, 1.0};
+  p.capacity = {2.0, 1e-9};
+  p.cost = {1.0, 0.5,
+            2.0, 0.5};
+  const TransportationResult r = solve_transportation(p);
+  ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_EQ(r.flow, (std::vector<double>{2e-9, 0.0, 1.0, 0.0}));
+}
+
+// A dirty chain keeps resuming while the same lines stay inert, and starts
+// cold when a line turns live or inert.
+TEST(TransportationInert, DirtyChainFollowsInertSet) {
+  util::Rng rng(5);
+  TransportationProblem p;
+  const std::size_t m = 14, n = 24;
+  for (std::size_t i = 0; i < m; ++i) p.supply.push_back(rng.uniform(1.0, 10.0));
+  const double total = std::accumulate(p.supply.begin(), p.supply.end(), 0.0);
+  for (std::size_t j = 0; j < n; ++j)
+    p.capacity.push_back(2.0 * total / n + rng.uniform(0.0, 2.0));
+  for (std::size_t c = 0; c < m * n; ++c) p.cost.push_back(rng.uniform(0.1, 9.0));
+  p.supply[2] = p.supply[9] = 0.0;
+  p.capacity[5] = 0.0;
+  const auto drift = [&] {
+    for (double& c : p.cost)
+      if (rng.below(4) == 0) c = rng.uniform(0.1, 9.0);
+  };
+  TransportationBasis basis;
+  // {change before the round, whether the round resumes}
+  const std::vector<std::pair<std::function<void()>, bool>> rounds = {
+      {[] {}, false},
+      {drift, true},
+      {drift, true},
+      {[&] { p.supply[2] = 3.0; }, false},  // row 2 turns live
+      {drift, true},
+      {[&] { p.capacity[11] = 0.0; }, false},  // column 11 turns inert
+      {drift, true},
+      {[&] { p.cost[9 * n] = 0.01; }, true},  // a cost in inert row 9
+  };
+  for (std::size_t round = 0; round < rounds.size(); ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    rounds[round].first();
+    const TransportationResult r = solve_transportation_dirty(p, basis);
+    ASSERT_TRUE(r.optimal());
+    EXPECT_EQ(r.dirty_resolve, rounds[round].second);
+    expect_spanning_tree(basis);
+    const TransportationResult cold = solve_transportation(p);
+    EXPECT_NEAR(r.objective, cold.objective, 1e-9 * cold.objective);
+    EXPECT_EQ(r.flow[9 * n], 0.0);
+  }
+}
+
+// Placement-sized instances as under fleet churn: about 26 busy rows, most
+// of them relieved switches reporting exactly Cmax (zero excess), and a few
+// candidates without spare capacity.
+TEST(TransportationInert, FleetChurnShapeMatchesMinCostFlow) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    FleetInstance fleet = fleet_instance(seed, false);
+    TransportationProblem& p = fleet.problem;
+    util::Rng rng(seed + 1000);
+    make_inert(p, rng, 0.78, 0.05);
+    expect_matches_min_cost_flow(p, solve_transportation(p));
+  }
+}
+
 // ---- Pricing tolerance ----------------------------------------------------
 //
 // Row 1's most negative reduced cost belongs to a forbidden (big-M) cell and
-// is cancellation noise: the start connects zero-capacity column 1 to row 0
-// through its big-M cell, so u_1 + v_1 = big_M + delta and the big-M cell
-// (1,1) prices at -delta, inside its big-M-scaled tolerance (~1.1e-4 here).
+// is cancellation noise: column 1 is reachable from the dummy row only, and
+// the start connects it to row 0 through its big-M cell, so u_1 + v_1 =
+// big_M + delta and the big-M cell (1,1) prices at -delta, inside its
+// big-M-scaled tolerance (~1.1e-4 here).
 // The finite cell (1,3) in the same row prices at -epsilon, less negative
 // but clear of its ~1e-9 tolerance, and is the one improving pivot. Pricing
 // must rescan the row for it rather than settle for the row's minimum.
@@ -742,9 +990,10 @@ TEST(TransportationPricing, ToleranceRejectedRowMinimum) {
   constexpr double kEpsilon = 1e-5;
   TransportationProblem p;
   p.supply = {1.5, 1.5};
-  p.capacity = {2.0, 0.0, 0.5, 0.5};
-  // Least-cost start: (0,3) 0.5, (0,0) 1, (1,0) 1, (1,2) 0.5; connecting the
-  // tree adds the zero-flow big-M cell (0,1).
+  p.capacity = {2.0, 1.0, 0.5, 0.5};
+  // Least-cost start: (0,3) 0.5, (0,0) 1, (1,0) 1, (1,2) 0.5, then the dummy
+  // row's 1 to column 1; connecting the tree adds the zero-flow big-M cell
+  // (0,1).
   p.cost = {2.0,          kInfinity, 9.0, 1.0,
             2.0 + kDelta, kInfinity, 3.0, 1.0 + kDelta - kEpsilon};
   const TransportationResult r = solve_transportation(p);
