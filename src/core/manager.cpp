@@ -77,6 +77,8 @@ DustManager::DustManager(sim::Simulator& sim, sim::TransportBase& transport,
       &registry.histogram("dust_core_placement_build_ms");
   metrics_.placement_cache_sync_ms =
       &registry.histogram("dust_core_placement_cache_sync_ms");
+  metrics_.placement_dispatch_ms =
+      &registry.histogram("dust_core_placement_dispatch_ms");
   metrics_.nmdb_staleness_ms =
       &registry.histogram("dust_core_nmdb_staleness_ms");
   transport_->register_endpoint(
@@ -228,7 +230,9 @@ std::size_t DustManager::run_placement_cycle() {
   // Sync the Trmin cache against the authoritative link state *before* the
   // planning copy below: the copy shares the links bit-for-bit (only node
   // utilizations are adjusted, and Trmin depends on links alone), so rows
-  // cached against nmdb_ serve the adjusted view exactly.
+  // cached against nmdb_ serve the adjusted view exactly. The copy shares
+  // the immutable topology too (net::NetworkState holds it by shared
+  // pointer); only per-node and per-link state is copied.
   if (config_.incremental_placement) {
     const util::Timer sync_timer;
     trmin_cache_.begin_cycle(nmdb_.network());
@@ -272,7 +276,11 @@ std::size_t DustManager::run_placement_cycle() {
     observation.now = sim_->now();
     cycle_observer_(observation);
   }
+  // The dispatch stage (routes and sends) is timed once per cycle, next to
+  // cache sync, build and solve; it reads ~0 when nothing is dispatched.
+  const util::Timer dispatch_timer;
   if (!result.optimal() && result.assignments.empty()) {
+    metrics_.placement_dispatch_ms->observe(dispatch_timer.millis());
     DUST_LOG_INFO << "manager: placement " << to_string(result.status)
                   << ", nothing offloaded";
     return 0;
@@ -379,6 +387,7 @@ std::size_t DustManager::run_placement_cycle() {
                      Message{request}, request_ctx.trace_id);
     ++created;
   }
+  metrics_.placement_dispatch_ms->observe(dispatch_timer.millis());
   metrics_.offloads_created->inc(created);
   flight().record(obs::FlightEventKind::kCycleEnd, sim_->now(), 0,
                   obs::FlightEvent::kNoNode, obs::FlightEvent::kNoNode,

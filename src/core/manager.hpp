@@ -265,6 +265,7 @@ class DustManager {
     obs::Histogram* placement_solve_ms = nullptr;  ///< wall, solver only
     obs::Histogram* placement_build_ms = nullptr;  ///< wall, model build
     obs::Histogram* placement_cache_sync_ms = nullptr;  ///< wall, begin_cycle
+    obs::Histogram* placement_dispatch_ms = nullptr;  ///< wall, routes + sends
     obs::Histogram* nmdb_staleness_ms = nullptr;   ///< sim-time STAT age
   };
 

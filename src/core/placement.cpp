@@ -87,13 +87,30 @@ PlacementProblem build_placement_problem(const Nmdb& nmdb,
     if (result.truncated) truncated = true;
   };
   const std::size_t rows = problem.busy.size();
-  if (options.parallel_trmin && rows > 1) {
-    // Chunked fan-out (DESIGN.md §13): each worker claims row chunks and
-    // fills them with its own thread_local scratch — no allocation per
-    // chunk, NUMA-friendly first-touch. Per-chunk work tallies land in
-    // slots indexed by chunk and are reduced serially below in chunk order,
-    // so the built problem (matrix AND counters) is bit-identical to the
-    // serial fill at every worker count.
+  std::size_t work = 0;
+  bool truncated = false;
+  // Rows the cache already holds cost a scale-and-copy: serve them on this
+  // thread and hand the pool only the rows that need a sweep. With fewer
+  // than two of those the pool is not touched at all.
+  std::vector<std::size_t> sweep_rows;
+  for (std::size_t bi = 0; bi < rows; ++bi) {
+    if (!options.parallel_trmin ||
+        (options.response_cache != nullptr &&
+         options.response_cache->serves(net, problem.busy[bi], rt)))
+      fill_row(bi, work, truncated);
+    else
+      sweep_rows.push_back(bi);
+  }
+  const std::size_t sweeps = sweep_rows.size();
+  if (sweeps < 2) {
+    for (const std::size_t bi : sweep_rows) fill_row(bi, work, truncated);
+  } else {
+    // Chunked fan-out (DESIGN.md §13): each worker claims chunks of the
+    // sweep list and fills them with its own thread_local scratch — no
+    // allocation per chunk, NUMA-friendly first-touch. Per-chunk work
+    // tallies land in slots indexed by chunk and are reduced serially below
+    // in chunk order, so the built problem (matrix AND counters) is
+    // bit-identical to the serial fill at every worker count.
     util::ThreadPool& pool = util::global_pool();
     std::size_t workers = pool.size();
     if (options.solver_threads != 0)
@@ -102,30 +119,26 @@ PlacementProblem build_placement_problem(const Nmdb& nmdb,
     // ~4 chunks per worker: coarse enough that the claim cursor is cold,
     // fine enough that one expensive row cannot straggle a whole sweep.
     const std::size_t chunk =
-        std::max<std::size_t>(1, (rows + workers * 4 - 1) / (workers * 4));
-    const std::size_t chunks = (rows + chunk - 1) / chunk;
+        std::max<std::size_t>(1, (sweeps + workers * 4 - 1) / (workers * 4));
+    const std::size_t chunks = (sweeps + chunk - 1) / chunk;
     std::vector<std::size_t> chunk_work(chunks, 0);
     std::vector<char> chunk_truncated(chunks, 0);
     pool.parallel_for_chunks(
-        rows, chunk, workers, [&](std::size_t begin, std::size_t end) {
-          std::size_t work = 0;
-          bool truncated = false;
-          for (std::size_t bi = begin; bi < end; ++bi)
-            fill_row(bi, work, truncated);
-          chunk_work[begin / chunk] = work;
-          chunk_truncated[begin / chunk] = truncated ? 1 : 0;
+        sweeps, chunk, workers, [&](std::size_t begin, std::size_t end) {
+          std::size_t chunk_paths = 0;
+          bool chunk_truncated_any = false;
+          for (std::size_t i = begin; i < end; ++i)
+            fill_row(sweep_rows[i], chunk_paths, chunk_truncated_any);
+          chunk_work[begin / chunk] = chunk_paths;
+          chunk_truncated[begin / chunk] = chunk_truncated_any ? 1 : 0;
         });
     for (std::size_t c = 0; c < chunks; ++c) {
-      problem.paths_explored += chunk_work[c];
-      if (chunk_truncated[c]) problem.truncated = true;
+      work += chunk_work[c];
+      if (chunk_truncated[c]) truncated = true;
     }
-  } else {
-    std::size_t work = 0;
-    bool truncated = false;
-    for (std::size_t bi = 0; bi < rows; ++bi) fill_row(bi, work, truncated);
-    problem.paths_explored = work;
-    problem.truncated = truncated;
   }
+  problem.paths_explored = work;
+  problem.truncated = truncated;
   if (options.trust_weighting) {
     // Column weights applied after the fill so cached rows stay unweighted.
     // trust == 1.0 gives w == 1.0 and t * 1.0 == t bit-for-bit.

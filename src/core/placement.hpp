@@ -22,11 +22,14 @@ struct PlacementOptions {
   net::EvaluatorMode evaluator = net::EvaluatorMode::kEnumerate;
   /// Safety cap per source in enumerate mode (0 = none).
   std::size_t max_paths_per_source = 0;
-  /// Compute Trmin rows on the global thread pool: busy rows are split into
-  /// chunks claimed by pool workers (util::ThreadPool::parallel_for_chunks),
-  /// each worker reusing its own thread_local evaluation scratch. Placements
-  /// are bit-identical to the serial fill at any worker count (rows are
-  /// disjoint; per-chunk work tallies are reduced serially in chunk order).
+  /// Compute Trmin rows on the global thread pool: the busy rows that need
+  /// a sweep are split into chunks claimed by pool workers
+  /// (util::ThreadPool::parallel_for_chunks), each worker reusing its own
+  /// thread_local evaluation scratch. Rows `response_cache` already holds
+  /// are served on the calling thread, and with fewer than two rows to
+  /// sweep the pool is not used. Placements are bit-identical to the serial
+  /// fill at any worker count (rows are disjoint; per-chunk work tallies are
+  /// reduced serially in chunk order).
   bool parallel_trmin = false;
   /// Worker cap for the parallel row fill (0 = the whole pool). The pool
   /// itself is sized once at first use via DUST_THREADS or

@@ -61,7 +61,6 @@
 #include "core/optimizer.hpp"
 #include "core/placement.hpp"
 #include "core/replay.hpp"
-#include "core/routes.hpp"
 #include "core/scenario.hpp"
 #include "core/transport.hpp"
 #include "core/types.hpp"

@@ -256,42 +256,106 @@ Path hop_bounded_path(const Graph& graph, NodeId src, NodeId dst,
     path.nodes.push_back(src);
     return path;
   }
-  const std::uint32_t bound =
-      max_hops == 0 ? static_cast<std::uint32_t>(graph.node_count()) - 1 : max_hops;
-  // Layered DP with per-layer predecessors: layer h holds the best cost of
-  // reaching each node in exactly h hops. The (bound+1) x n layer tables are
-  // flattened into per-thread scratch reused across calls.
   const std::size_t n = graph.node_count();
-  static thread_local std::vector<double> cost;
-  static thread_local std::vector<EdgeId> via;
-  cost.assign((bound + 1) * n, kInfiniteCost);
-  via.assign((bound + 1) * n, kInvalidEdge);
-  cost[src] = 0.0;  // layer 0
-  double best = kInfiniteCost;
-  std::uint32_t best_layer = 0;
-  for (std::uint32_t h = 1; h <= bound; ++h) {
-    const std::size_t prev = (h - 1) * n;
-    const std::size_t cur = h * n;
-    for (NodeId node = 0; node < n; ++node) {
-      if (cost[prev + node] == kInfiniteCost) continue;
-      for (const Adjacency& adj : graph.neighbors(node)) {
-        const double candidate = cost[prev + node] + edge_cost[adj.edge];
-        if (candidate < cost[cur + adj.neighbor]) {
-          cost[cur + adj.neighbor] = candidate;
-          via[cur + adj.neighbor] = adj.edge;
-        }
-      }
-    }
-    if (cost[cur + dst] < best) {
-      best = cost[cur + dst];
-      best_layer = h;
+  const std::uint32_t bound =
+      max_hops == 0 ? static_cast<std::uint32_t>(n) - 1 : max_hops;
+  // The corridor: hop distance to dst, by a BFS from dst cut at bound - 1
+  // (kUnreachable beyond). A node entered at layer h can lie on a route of
+  // at most `bound` hops only if it is within bound - h hops of dst.
+  // All scratch is per-thread and reused across calls.
+  static thread_local std::vector<std::uint32_t> to_dst;
+  static thread_local std::vector<NodeId> queue;
+  to_dst.assign(n, kUnreachable);
+  queue.assign(1, dst);
+  to_dst[dst] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId node = queue[head];
+    if (to_dst[node] + 1 >= bound) break;  // BFS order: the rest are as far
+    for (const Adjacency& adj : graph.neighbors(node)) {
+      if (to_dst[adj.neighbor] != kUnreachable) continue;
+      to_dst[adj.neighbor] = to_dst[node] + 1;
+      queue.push_back(adj.neighbor);
     }
   }
-  if (best == kInfiniteCost) return path;  // unreachable within the bound
-  // Walk predecessors back from (best_layer, dst).
+  // Layered search over the corridor. `best` is each node's label (its
+  // cheapest cost over the layers so far); `layer` holds the layer being
+  // built and is all +inf between layers. Only nodes whose label strictly
+  // improved at layer h - 1 are relaxed at layer h, in ascending node id,
+  // each through its adjacency in order, keeping the first strictly better
+  // candidate. That is the dense layered DP restricted to the entries that
+  // can matter: with costs >= 0 and monotone float addition, a label that
+  // did not strictly improve, or a node outside the corridor, is never the
+  // dense DP's first strictly-better predecessor on the winning route, so
+  // ties go to the lowest node id, then adjacency order, exactly as there.
+  static thread_local std::vector<double> best;
+  static thread_local std::vector<double> layer;
+  static thread_local std::vector<NodeId> frontier;
+  static thread_local std::vector<NodeId> fresh;
+  // Predecessor edge per (layer, node), grown one row per layer run: the
+  // search stops when no label improves, so an unbounded query allocates
+  // rounds * n, not n^2.
+  static thread_local std::vector<EdgeId> via;
+  best.assign(n, kInfiniteCost);
+  layer.assign(n, kInfiniteCost);
+  best[src] = 0.0;
+  frontier.assign(1, src);
+  std::uint32_t dst_layer = 0;  // layer of dst's last strict improvement
+  std::uint32_t h = 1;
+  for (; h < bound && !frontier.empty(); ++h) {
+    if (via.size() < (h + 1) * n) via.resize((h + 1) * n);
+    EdgeId* layer_via = via.data() + h * n;
+    const std::uint32_t reach = bound - h;
+    fresh.clear();
+    for (const NodeId u : frontier) {
+      const double base = best[u];
+      for (const Adjacency& adj : graph.neighbors(u)) {
+        const NodeId w = adj.neighbor;
+        if (to_dst[w] > reach) continue;
+        const double candidate = base + edge_cost[adj.edge];
+        if (!(candidate < layer[w])) continue;
+        if (layer[w] == kInfiniteCost) fresh.push_back(w);
+        layer[w] = candidate;
+        layer_via[w] = adj.edge;
+      }
+    }
+    frontier.clear();
+    for (const NodeId w : fresh) {
+      const double cost = layer[w];
+      layer[w] = kInfiniteCost;
+      if (!(cost < best[w])) continue;
+      best[w] = cost;
+      frontier.push_back(w);
+      if (w == dst) dst_layer = h;
+    }
+    std::sort(frontier.begin(), frontier.end());
+  }
+  // Last layer: only dst can still finish a route, so pull over its
+  // neighbours instead of pushing the frontier. `layer` carries the
+  // frontier's labels for the lookup; the lowest neighbour id wins a tie,
+  // as the dense DP's ascending scan would pick it.
+  EdgeId last_edge = kInvalidEdge;
+  if (h == bound && !frontier.empty()) {
+    for (const NodeId u : frontier) layer[u] = best[u];
+    double pulled = kInfiniteCost;
+    NodeId pulled_from = kInvalidNode;
+    for (const Adjacency& adj : graph.neighbors(dst)) {
+      const double candidate = layer[adj.neighbor] + edge_cost[adj.edge];
+      if (candidate < pulled ||
+          (candidate == pulled && adj.neighbor < pulled_from)) {
+        pulled = candidate;
+        pulled_from = adj.neighbor;
+        last_edge = adj.edge;
+      }
+    }
+    for (const NodeId u : frontier) layer[u] = kInfiniteCost;
+    if (pulled < best[dst]) dst_layer = bound;
+  }
+  if (dst_layer == 0) return path;  // unreachable within the bound
+  // Walk predecessors back from (dst_layer, dst).
   NodeId node = dst;
-  for (std::uint32_t h = best_layer; h > 0; --h) {
-    const EdgeId edge = via[h * n + node];
+  for (std::uint32_t layer_index = dst_layer; layer_index > 0; --layer_index) {
+    const EdgeId edge =
+        layer_index == bound ? last_edge : via[layer_index * n + node];
     path.edges.push_back(edge);
     path.nodes.push_back(node);
     node = graph.edge(edge).other(node);

@@ -104,6 +104,17 @@ void shared_frontier_labels_into(const Graph& graph, NodeId src,
 /// Reconstruct a concrete minimum-cost path src -> dst over paths of at most
 /// `max_hops` edges (0 = unbounded). Empty path if unreachable within the
 /// bound. The returned path achieves hop_bounded_min_cost(...)[dst].
+///
+/// The search stays in the src -> dst hop corridor: a BFS from dst (cut at
+/// bound - 1) gives each node's hop distance to dst, and layer h relaxes
+/// only the nodes whose label strictly improved at layer h - 1, in
+/// ascending node id, and only into nodes within bound - h hops of dst; the
+/// last layer pulls over dst's neighbours. For non-negative costs the path
+/// is the dense layered DP's bit for bit, tie rule included: among
+/// equal-cost routes the one whose predecessor has the lowest node id wins
+/// at each layer, then the earlier adjacency entry, and dst's route ends
+/// at the first layer of its cheapest cost (the fewest hops). Scratch is
+/// per-thread; the via table grows one row per layer run.
 Path hop_bounded_path(const Graph& graph, NodeId src, NodeId dst,
                       std::span<const double> edge_cost,
                       std::uint32_t max_hops);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -28,19 +29,23 @@ struct LinkState {
 
 /// Topology + per-edge link state + per-node utilized capacity C_j (%) and
 /// monitoring data volume D_i (Mb).
+///
+/// The topology is immutable once the state is built and is held by a
+/// shared pointer: a copy (the manager's per-cycle planning view) shares it
+/// and copies only the per-node and per-link state.
 class NetworkState {
  public:
   explicit NetworkState(graph::Graph graph)
-      : graph_(std::move(graph)),
-        links_(graph_.edge_count()),
-        node_utilization_(graph_.node_count(), 0.0),
-        monitoring_data_mb_(graph_.node_count(), 0.0),
-        baseline_lu_(graph_.edge_count(), LinkState{}.utilized_bandwidth()),
-        link_dirty_(graph_.edge_count(), 0) {}
+      : graph_(std::make_shared<const graph::Graph>(std::move(graph))),
+        links_(graph_->edge_count()),
+        node_utilization_(graph_->node_count(), 0.0),
+        monitoring_data_mb_(graph_->node_count(), 0.0),
+        baseline_lu_(graph_->edge_count(), LinkState{}.utilized_bandwidth()),
+        link_dirty_(graph_->edge_count(), 0) {}
 
-  [[nodiscard]] const graph::Graph& graph() const noexcept { return graph_; }
-  [[nodiscard]] std::size_t node_count() const noexcept { return graph_.node_count(); }
-  [[nodiscard]] std::size_t edge_count() const noexcept { return graph_.edge_count(); }
+  [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
+  [[nodiscard]] std::size_t node_count() const noexcept { return graph_->node_count(); }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return graph_->edge_count(); }
 
   [[nodiscard]] const LinkState& link(graph::EdgeId edge) const {
     return links_.at(edge);
@@ -133,7 +138,7 @@ class NetworkState {
   void inverse_bandwidth_costs_into(std::vector<double>& out) const;
 
  private:
-  graph::Graph graph_;
+  std::shared_ptr<const graph::Graph> graph_;
   std::vector<LinkState> links_;
   std::vector<double> node_utilization_;
   std::vector<double> monitoring_data_mb_;

@@ -54,6 +54,18 @@ bool ResponseTimeCache::synced_with(const NetworkState& net) const noexcept {
          synced_version_ == net.link_version() && net.dirty_links().empty();
 }
 
+bool ResponseTimeCache::holds(const Entry& entry,
+                              const ResponseTimeOptions& options) noexcept {
+  return entry.valid && entry.max_hops == options.max_hops &&
+         entry.mode == options.mode &&
+         entry.max_paths == options.max_paths_per_source;
+}
+
+bool ResponseTimeCache::serves(const NetworkState& net, graph::NodeId source,
+                               const ResponseTimeOptions& options) const {
+  return synced_with(net) && holds(entries_.at(source), options);
+}
+
 void ResponseTimeCache::begin_cycle(NetworkState& net) {
   const std::size_t n = net.node_count();
   if (!synced_once_ || entries_.size() != n ||
@@ -313,10 +325,7 @@ void ResponseTimeCache::row_into(const NetworkState& net, graph::NodeId source,
     return;
   }
   Entry& entry = entries_.at(source);
-  const bool hit = entry.valid && entry.max_hops == options.max_hops &&
-                   entry.mode == options.mode &&
-                   entry.max_paths == options.max_paths_per_source;
-  if (hit) {
+  if (holds(entry, options)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     hit_counter_->inc();
     out.work = 0;  // nothing evaluated; the row came from cache

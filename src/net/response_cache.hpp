@@ -119,6 +119,14 @@ class ResponseTimeCache {
                                        graph::NodeId source, double data_mb,
                                        const ResponseTimeOptions& options);
 
+  /// True when row_into(net, source, ..., options) would serve a cached row
+  /// without evaluating anything: the cache is in sync with `net` and holds
+  /// a valid row for `source` built under the same evaluator options. Lets
+  /// a caller keep cheap rows on its own thread and fan out only the rows
+  /// that need a sweep.
+  [[nodiscard]] bool serves(const NetworkState& net, graph::NodeId source,
+                            const ResponseTimeOptions& options) const;
+
   /// Drop every cached row (stats survive; handles stay valid).
   void clear();
 
@@ -138,6 +146,8 @@ class ResponseTimeCache {
   };
 
   [[nodiscard]] bool synced_with(const NetworkState& net) const noexcept;
+  [[nodiscard]] static bool holds(const Entry& entry,
+                                  const ResponseTimeOptions& options) noexcept;
   void serve(const Entry& entry, double data_mb, ResponseTimeResult& out) const;
   [[nodiscard]] double quantize(double inverse_cost) const noexcept;
 

@@ -16,8 +16,10 @@
 #include "core/optimizer.hpp"
 #include "core/placement.hpp"
 #include "graph/topology.hpp"
+#include "net/response_cache.hpp"
 #include "net/traffic.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dust::core {
 namespace {
@@ -134,6 +136,78 @@ INSTANTIATE_TEST_SUITE_P(Evaluators, ParallelDeterminism,
                                       ? "Enumerate"
                                       : "SharedFrontier";
                          });
+
+// The cached fill: rows the Trmin cache holds are served on the calling
+// thread, and only the rows that need a sweep reach the pool.
+struct CachedFill {
+  PlacementProblem problem;
+  net::ResponseTimeCacheStats stats;
+  std::uint64_t pool_chunks = 0;  ///< util::global_pool() chunks it ran
+};
+
+// Builds `nmdb`'s problem through a fresh cache that already holds every
+// busy row except the first `uncached` ones (all of them: a cold cache).
+CachedFill cached_fill(Nmdb& nmdb, std::size_t uncached, bool parallel) {
+  net::ResponseTimeCache cache;
+  cache.begin_cycle(nmdb.network());
+  PlacementOptions options;
+  options.max_hops = 4;
+  options.evaluator = net::EvaluatorMode::kSharedFrontier;
+  options.response_cache = &cache;
+  std::vector<graph::NodeId> busy;
+  nmdb.busy_nodes_into(busy);
+  if (uncached < busy.size()) {
+    // Warm on a view where the uncached rows are not busy: same links, so
+    // the rows it records serve `nmdb` as hits.
+    Nmdb warm_view = nmdb;
+    for (std::size_t i = 0; i < uncached; ++i)
+      warm_view.network().set_node_utilization(busy[i], 0.0);
+    (void)build_placement_problem(warm_view, options);
+  }
+  options.parallel_trmin = parallel;
+  options.solver_threads = parallel ? 2 : 0;
+  CachedFill fill;
+  const std::uint64_t chunks_before = util::global_pool().chunk_tasks();
+  fill.problem = build_placement_problem(nmdb, options);
+  fill.pool_chunks = util::global_pool().chunk_tasks() - chunks_before;
+  fill.stats = cache.stats();
+  return fill;
+}
+
+void expect_same_stats(const net::ResponseTimeCacheStats& a,
+                       const net::ResponseTimeCacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.bypasses, b.bypasses);
+}
+
+// With every row cached, or one row missing, the parallel fill never
+// touches the pool; with many misses it fans them out. Either way the
+// problem and the cache's stats equal the serial fill's bit for bit.
+TEST(ParallelFill, CachedRowsSkipThePool) {
+  util::Rng rng(71);
+  Nmdb nmdb(net::make_random_state(graph::FatTree(8).graph(),
+                                   net::LinkProfile{}, net::NodeLoadProfile{},
+                                   rng),
+            Thresholds{});
+  const std::size_t rows = nmdb.busy_nodes().size();
+  ASSERT_GE(rows, 4u);
+  for (std::size_t uncached : {std::size_t{0}, std::size_t{1}, rows}) {
+    SCOPED_TRACE(::testing::Message() << "uncached rows " << uncached);
+    const CachedFill serial = cached_fill(nmdb, uncached, false);
+    const CachedFill parallel = cached_fill(nmdb, uncached, true);
+    expect_same_problem(serial.problem, parallel.problem);
+    expect_same_stats(serial.stats, parallel.stats);
+    EXPECT_EQ(serial.pool_chunks, 0u);
+    EXPECT_EQ(parallel.stats.hits, rows - uncached);
+    if (uncached < 2) {
+      EXPECT_EQ(parallel.pool_chunks, 0u);
+    } else {
+      EXPECT_GT(parallel.pool_chunks, 0u);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dust::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/optimizer.hpp"
+#include "graph/paths.hpp"
 #include "graph/topology.hpp"
 #include "net/traffic.hpp"
 
@@ -151,6 +153,92 @@ TEST(PlacementViolation, DetectsShortfallMismatch) {
   r.unplaced = 2.0;  // honest partial solution is consistent
   EXPECT_NEAR(placement_violation(p, r), 0.0, 1e-9);
 }
+
+// Controllable routes: the manager installs, for each created offload, the
+// hop-bounded path graph::hop_bounded_path picks over the same 1/Lu costs
+// and hop bound the placement priced. Its response time must be the
+// assignment's Trmin.
+
+/// The route the manager installs for from -> to, and its response time.
+struct InstalledRoute {
+  graph::Path path;
+  double seconds = 0.0;
+};
+
+InstalledRoute install_route(const net::NetworkState& net, graph::NodeId from,
+                             graph::NodeId to, std::uint32_t max_hops) {
+  const std::vector<double> inv = net.inverse_bandwidth_costs();
+  InstalledRoute route;
+  route.path = graph::hop_bounded_path(net.graph(), from, to, inv, max_hops);
+  route.seconds = net.monitoring_data_mb(from) * route.path.cost(inv);
+  return route;
+}
+
+net::NetworkState square_net() {
+  // 0-1-3 and 0-2-3: two disjoint 2-hop routes from 0 to 3.
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 3);
+  net::NetworkState state(std::move(g));
+  for (graph::EdgeId e = 0; e < state.edge_count(); ++e)
+    state.set_link(e, net::LinkState{1000.0, 1.0});
+  return state;
+}
+
+TEST(Routes, PrimaryAchievesTrmin) {
+  net::NetworkState state = square_net();
+  state.set_link(0, net::LinkState{1000.0, 0.5});  // make 0-1-3 slower
+  state.set_monitoring_data_mb(0, 100.0);
+  // Trmin via 0-2-3: 0.1 + 0.1 = 0.2 s for 100 Mb.
+  const InstalledRoute route = install_route(state, 0, 3, 0);
+  EXPECT_EQ(route.path.nodes, (std::vector<graph::NodeId>{0, 2, 3}));
+  EXPECT_NEAR(route.seconds, 0.2, 1e-12);
+}
+
+TEST(Routes, HopBoundRespected) {
+  net::NetworkState state = square_net();
+  state.set_monitoring_data_mb(0, 10.0);
+  EXPECT_TRUE(install_route(state, 0, 3, 1).path.nodes.empty());  // 2 hops
+}
+
+class RoutesSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Property: for real placements, every installed route exists, stays within
+// the hop bound, connects the right endpoints, and reproduces the
+// assignment's Trmin cost.
+TEST_P(RoutesSweep, ResolvedRoutesMatchPlacement) {
+  util::Rng rng(GetParam());
+  net::NetworkState state = net::make_random_state(
+      graph::FatTree(4).graph(), net::LinkProfile{}, net::NodeLoadProfile{}, rng);
+  Nmdb nmdb(std::move(state), Thresholds{});
+  OptimizerOptions opt;
+  opt.placement.max_hops = 6;
+  opt.placement.evaluator = net::EvaluatorMode::kHopBoundedDp;
+  opt.allow_partial = true;
+  const PlacementResult placement = OptimizationEngine(opt).run(nmdb);
+  ASSERT_FALSE(placement.assignments.empty());
+  for (const Assignment& assignment : placement.assignments) {
+    const InstalledRoute route =
+        install_route(nmdb.network(), assignment.from, assignment.to, 6);
+    ASSERT_FALSE(route.path.nodes.empty());
+    EXPECT_EQ(route.path.source(), assignment.from);
+    EXPECT_EQ(route.path.destination(), assignment.to);
+    EXPECT_LE(route.path.hops(), 6u);
+    EXPECT_NEAR(route.seconds, assignment.trmin_seconds,
+                1e-9 * (1.0 + assignment.trmin_seconds));
+    // Consecutive path nodes are really adjacent via the stated edge.
+    for (std::size_t i = 0; i < route.path.edges.size(); ++i) {
+      const graph::Edge& edge = nmdb.network().graph().edge(route.path.edges[i]);
+      const graph::NodeId a = route.path.nodes[i];
+      const graph::NodeId b = route.path.nodes[i + 1];
+      EXPECT_TRUE((edge.a == a && edge.b == b) || (edge.a == b && edge.b == a));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoutesSweep, ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace dust::core

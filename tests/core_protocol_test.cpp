@@ -459,5 +459,27 @@ TEST(Protocol, IncrementalCycleTimesCacheSync) {
   EXPECT_EQ(build_ms->count, sync_ms->count);
 }
 
+// The dispatch stage (routes and sends of the assignment loop) is timed
+// once per cycle next to build and solve, whether or not the cycle creates
+// an offload.
+TEST(Protocol, PlacementCycleTimesDispatch) {
+  Harness h(4, Harness::fast_config());
+  h.start_all();
+  h.clients[0]->set_reported_state(90.0, 10.0, 10);  // busy: Cs = 10
+  h.clients[1]->set_reported_state(40.0, 5.0, 10);   // candidate: Cd = 20
+  h.sim.run_until(1000);
+  obs::MetricRegistry::global().reset();
+  EXPECT_EQ(h.manager->run_placement_cycle(), 1u);  // creates the offload
+  for (int i = 0; i < 2; ++i) h.manager->run_placement_cycle();
+  const obs::RegistrySnapshot scrape = obs::MetricRegistry::global().snapshot();
+  const auto* dispatch_ms =
+      scrape.find_histogram("dust_core_placement_dispatch_ms");
+  ASSERT_NE(dispatch_ms, nullptr);
+  EXPECT_EQ(dispatch_ms->count, 3u);
+  const auto* build_ms = scrape.find_histogram("dust_core_placement_build_ms");
+  ASSERT_NE(build_ms, nullptr);
+  EXPECT_EQ(build_ms->count, dispatch_ms->count);
+}
+
 }  // namespace
 }  // namespace dust::core

@@ -2,7 +2,9 @@
 // DOT exporter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "graph/dot.hpp"
@@ -89,6 +91,125 @@ TEST_P(HopBoundedPathSweep, CostMatchesDp) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HopBoundedPathSweep,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// The dense layered DP hop_bounded_path used before the corridor search:
+// every layer relaxes every reached node in ascending id, each through its
+// adjacency in order, keeping the first strictly better candidate; dst's
+// route ends at the first layer of its cheapest cost. One table per
+// (src, bound) serves every destination, so the reference returns the
+// route to each node.
+std::vector<Path> dense_reference_paths(const Graph& g, NodeId src,
+                                        std::span<const double> edge_cost,
+                                        std::uint32_t max_hops) {
+  const std::size_t n = g.node_count();
+  const std::uint32_t bound =
+      max_hops == 0 ? static_cast<std::uint32_t>(n) - 1 : max_hops;
+  std::vector<double> cost((bound + 1) * n, kInfiniteCost);
+  std::vector<EdgeId> via((bound + 1) * n, kInvalidEdge);
+  std::vector<double> best(n, kInfiniteCost);
+  std::vector<std::uint32_t> best_layer(n, 0);
+  cost[src] = 0.0;
+  for (std::uint32_t h = 1; h <= bound; ++h) {
+    const std::size_t prev = (h - 1) * n;
+    const std::size_t cur = h * n;
+    for (NodeId node = 0; node < n; ++node) {
+      if (cost[prev + node] == kInfiniteCost) continue;
+      for (const Adjacency& adj : g.neighbors(node)) {
+        const double candidate = cost[prev + node] + edge_cost[adj.edge];
+        if (candidate < cost[cur + adj.neighbor]) {
+          cost[cur + adj.neighbor] = candidate;
+          via[cur + adj.neighbor] = adj.edge;
+        }
+      }
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (cost[cur + v] < best[v]) {
+        best[v] = cost[cur + v];
+        best_layer[v] = h;
+      }
+    }
+  }
+  std::vector<Path> paths(n);
+  for (NodeId dst = 0; dst < n; ++dst) {
+    Path& path = paths[dst];
+    if (dst == src) {
+      path.nodes.push_back(src);
+      continue;
+    }
+    if (best[dst] == kInfiniteCost) continue;
+    NodeId node = dst;
+    for (std::uint32_t h = best_layer[dst]; h > 0; --h) {
+      const EdgeId edge = via[h * n + node];
+      path.edges.push_back(edge);
+      path.nodes.push_back(node);
+      node = g.edge(edge).other(node);
+    }
+    path.nodes.push_back(src);
+    std::reverse(path.nodes.begin(), path.nodes.end());
+    std::reverse(path.edges.begin(), path.edges.end());
+  }
+  return paths;
+}
+
+std::size_t expect_matches_dense_reference(const Graph& g,
+                                           std::span<const NodeId> sources,
+                                           std::span<const double> cost) {
+  std::size_t cases = 0;
+  for (std::uint32_t bound : {1u, 2u, 3u, 4u, 6u, 0u}) {
+    for (NodeId src : sources) {
+      const std::vector<Path> reference =
+          dense_reference_paths(g, src, cost, bound);
+      for (NodeId dst = 0; dst < g.node_count(); ++dst) {
+        ++cases;
+        EXPECT_EQ(hop_bounded_path(g, src, dst, cost, bound), reference[dst])
+            << "src " << src << " dst " << dst << " bound " << bound;
+      }
+    }
+  }
+  return cases;
+}
+
+// The corridor search returns the dense DP's route bit for bit, tie rule
+// included: fat-trees under heavily tied costs (four values whose sums
+// collide often, and all costs equal) at every bound the manager uses plus
+// the unbounded query, and a small graph with two equal-cost parallel
+// routes, a zero-cost edge and a component dst cannot reach.
+TEST(GraphPaths, HopBoundedPathMatchesDenseReference) {
+  util::Rng rng(20);
+  std::size_t cases = 0;
+  for (std::uint32_t k : {4u, 8u, 16u}) {
+    const FatTree tree(k);
+    const Graph& g = tree.graph();
+    const auto n = static_cast<NodeId>(g.node_count());
+    const std::vector<NodeId> sources{0, n / 3, n / 2, n - 1};
+    std::vector<double> tiered(g.edge_count());
+    constexpr double kTiers[] = {1.0, 1.5, 2.25, 3.375};
+    for (double& c : tiered) c = kTiers[rng.below(4)];
+    const std::vector<double> equal(g.edge_count(), 1.0);
+    SCOPED_TRACE(::testing::Message() << "fat-tree k=" << k);
+    cases += expect_matches_dense_reference(g, sources, tiered);
+    cases += expect_matches_dense_reference(g, sources, equal);
+  }
+  // 0-1-3 and 0-2-3 are equal-cost parallel routes, and 3 lists its
+  // neighbour 2 before 1, so the tie rule is not adjacency order; 3-4 costs
+  // nothing; 5-6 is a separate component.
+  Graph small(7);
+  small.add_edge(0, 1);
+  small.add_edge(0, 2);
+  small.add_edge(2, 3);
+  small.add_edge(1, 3);
+  small.add_edge(3, 4);
+  small.add_edge(1, 4);
+  small.add_edge(5, 6);
+  const std::vector<double> small_cost{1.0, 2.0, 1.0, 2.0, 0.0, 3.0, 1.0};
+  const std::vector<NodeId> all{0, 1, 2, 3, 4, 5, 6};
+  cases += expect_matches_dense_reference(small, all, small_cost);
+  for (std::uint32_t bound : {2u, 0u})  // 2: the tie falls in the last layer
+    EXPECT_EQ(hop_bounded_path(small, 0, 3, small_cost, bound).nodes,
+              (std::vector<NodeId>{0, 1, 3}));  // tie: lower node id first
+  EXPECT_TRUE(hop_bounded_path(small, 0, 6, small_cost, 0).nodes.empty());
+  EXPECT_GT(cases, 10000u);
+}
 
 TEST(EdgeDisjoint, FindsBothRoutesOfSquare) {
   Graph g = square();
